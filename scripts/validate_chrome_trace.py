@@ -7,6 +7,8 @@ Checks the subset of the trace_event format this project emits
   - top level: {"traceEvents": [...], "displayTimeUnit": "ms"}
   - every event has string `name`/`cat`/`ph` and integer `pid`/`tid`
   - `ph` is one of "M" (metadata), "X" (complete), "i" (instant)
+  - span events have `cat` = one of the exported SpanKind names (read
+    from src/trace/span.cc) and `name` = cat + " " + site
   - "X" events carry integer `ts` >= 0 and `dur` >= 0
   - "i" events carry `ts` and thread scope `"s": "t"`
   - span events carry args.span / args.parent / args.detail integers,
@@ -17,14 +19,41 @@ Checks the subset of the trace_event format this project emits
   - at least one "X" event (an export with zero retained traces is
     almost certainly a wiring bug in a --trace smoke test)
 
-Usage: scripts/validate_chrome_trace.py FILE.json [FILE.json ...]
+With --csv, the files are span CSVs (trace_spans.csv, incident_spans.csv)
+instead, read with Python's csv module (RFC 4180 quoting):
+
+  - the first row is exactly the documented header
+  - every row has 10 fields; ids, times and detail are integers, the
+    kind is an exported SpanKind name, and closed is 0 or 1
+  - parent_id is -1 iff kind is "request"
+
+Usage: scripts/validate_chrome_trace.py [--csv] FILE [FILE ...]
 Exit status: 0 when every file validates, 1 otherwise.
 """
 
+import csv
 import json
+import os
+import re
 import sys
 
 PHASES = {"M", "X", "i"}
+CSV_HEADER = ["request_id", "span_id", "parent_id", "kind", "site", "begin_us",
+              "end_us", "duration_us", "detail", "closed"]
+SPAN_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "..", "src", "trace", "span.cc")
+
+
+def span_kinds() -> set:
+    """The names to_string(SpanKind) can return, read from its source."""
+    with open(SPAN_SOURCE, encoding="utf-8") as f:
+        kinds = set(re.findall(r'case SpanKind::k\w+: return "(\w+)";', f.read()))
+    if not kinds:
+        sys.exit(f"error: no SpanKind names found in {SPAN_SOURCE}")
+    return kinds
+
+
+KINDS = span_kinds()
 
 
 def fail(errors, path, msg):
@@ -88,9 +117,13 @@ def validate(path: str, errors: list) -> None:
             continue
         if not isinstance(args.get("detail"), int):
             fail(errors, path, f"{where}: args.detail must be an integer")
-        if (parent == -1) != (ev.get("cat") == "request"):
-            fail(errors, path,
-                 f"{where}: parent -1 iff root 'request' span (cat={ev.get('cat')!r})")
+        cat, name = ev.get("cat"), ev.get("name")
+        if cat not in KINDS:
+            fail(errors, path, f"{where}: cat {cat!r} is not a SpanKind name")
+        elif not isinstance(name, str) or not name.startswith(cat + " "):
+            fail(errors, path, f"{where}: name {name!r} does not start with {cat + ' '!r}")
+        if (parent == -1) != (cat == "request"):
+            fail(errors, path, f"{where}: parent -1 iff root 'request' span (cat={cat!r})")
         seen = spans_by_request.setdefault(ev.get("tid"), set())
         if span in seen:
             fail(errors, path, f"{where}: duplicate span id {span} in request {ev.get('tid')}")
@@ -107,13 +140,48 @@ def validate(path: str, errors: list) -> None:
               f"{len(spans_by_request)} traced requests, {complete_events} spans")
 
 
+def validate_csv(path: str, errors: list) -> None:
+    before = len(errors)
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        fail(errors, path, f"unreadable CSV: {e}")
+        return
+    if not rows or rows[0] != CSV_HEADER:
+        fail(errors, path, f"header must be {','.join(CSV_HEADER)}")
+        return
+    for n, row in enumerate(rows[1:], start=2):
+        where = f"row {n}"
+        if len(row) != len(CSV_HEADER):
+            fail(errors, path, f"{where}: {len(row)} fields, expected {len(CSV_HEADER)}")
+            continue
+        rec = dict(zip(CSV_HEADER, row))
+        if not all(re.fullmatch(r"-?\d+", rec[k]) for k in CSV_HEADER if k not in ("kind", "site")):
+            fail(errors, path, f"{where}: ids, times and detail must be integers")
+            continue
+        if rec["kind"] not in KINDS:
+            fail(errors, path, f"{where}: kind {rec['kind']!r} is not a SpanKind name")
+        if rec["closed"] not in ("0", "1"):
+            fail(errors, path, f"{where}: closed must be 0 or 1")
+        if (rec["parent_id"] == "-1") != (rec["kind"] == "request"):
+            fail(errors, path, f"{where}: parent_id -1 iff root 'request' span")
+    if len(errors) == before:
+        print(f"OK: {path}: {len(rows) - 1} spans")
+
+
 def main() -> int:
-    if len(sys.argv) < 2:
+    args = sys.argv[1:]
+    check = validate
+    if args and args[0] == "--csv":
+        check = validate_csv
+        args = args[1:]
+    if not args:
         print(__doc__)
         return 2
     errors = []
-    for path in sys.argv[1:]:
-        validate(path, errors)
+    for path in args:
+        check(path, errors)
     for e in errors:
         print(f"INVALID: {e}")
     return 1 if errors else 0

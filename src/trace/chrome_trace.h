@@ -16,7 +16,12 @@
 // only on recorded spans — same seed, byte-identical file.
 //
 // The CSV is one row per span (schema documented in docs/METRICS.md)
-// for spreadsheet/pandas post-processing without a JSON parser.
+// for spreadsheet/pandas post-processing without a JSON parser. A site
+// holding a comma, double quote, CR or LF is quoted per RFC 4180; every
+// other field is written bare.
+//
+// Both exporters append straight into the returned string (no printf,
+// no per-record buffer), so a record of any length is written in full.
 #pragma once
 
 #include <memory>

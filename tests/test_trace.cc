@@ -1,15 +1,24 @@
 // Tests of the per-request tracing layer: span-tree well-formedness,
-// RTO-gap attribution, critical-path exactness, sampling modes, and the
-// determinism / non-perturbation guarantees (DESIGN.md invariant 10).
+// RTO-gap attribution, critical-path exactness, sampling modes, the
+// determinism / non-perturbation guarantees (DESIGN.md invariant 10),
+// and byte identity of the exporters against a printf reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdarg>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/ctqo_analyzer.h"
 #include "core/experiment.h"
 #include "core/scenarios.h"
+#include "graph/graph_system.h"
+#include "graph/topology.h"
 #include "trace/chrome_trace.h"
 #include "trace/critical_path.h"
 #include "trace/span.h"
@@ -105,6 +114,372 @@ TEST(CriticalPath, ChargesEveryMicrosecondExactlyOnce) {
             Duration::micros(10 + 20));  // 10..20 and 70..90
   EXPECT_EQ(cp.by_kind(SpanKind::kRequest),
             Duration::micros(10 + 10));  // 0..10 and 90..100
+}
+
+// --- exporter oracle --------------------------------------------------------
+
+// The printf formatter the exporters replaced, kept as a reference. Each
+// record is sized by a first vsnprintf pass, so a long site is never cut
+// off, and the CSV site follows the same RFC 4180 quoting rule.
+std::string ref_format(const char* fmt, ...) {
+  va_list ap;
+  va_list ap2;
+  va_start(ap, fmt);
+  va_copy(ap2, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  va_end(ap);
+  std::string s(static_cast<std::size_t>(n), '\0');
+  std::vsnprintf(s.data(), s.size() + 1, fmt, ap2);
+  va_end(ap2);
+  return s;
+}
+
+std::string ref_json_escape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += ref_format("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string ref_csv_field(const std::string& s) {
+  if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  return out + "\"";
+}
+
+std::int64_t ref_parent(const trace::Span& s) {
+  return s.parent == trace::kNoSpan ? -1 : static_cast<std::int64_t>(s.parent);
+}
+
+std::string ref_chrome_trace_json(const trace::TraceList& traces) {
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  out +=
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+      "\"args\":{\"name\":\"ntier\"}}";
+  for (const auto& t : traces) {
+    if (!t || t->empty()) continue;
+    const std::uint64_t rid = t->request_id();
+    out += ref_format(
+        ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+        "\"tid\":%" PRIu64 ",\"args\":{\"name\":\"request %" PRIu64 "\"}}",
+        rid, rid);
+    for (const trace::Span& s : t->spans()) {
+      const std::string name =
+          std::string(trace::to_string(s.kind)) + " " + ref_json_escape(s.site);
+      const std::int64_t ts = s.begin.count_micros();
+      const std::int64_t dur = s.duration().count_micros();
+      if (s.closed() && dur > 0) {
+        out += ref_format(
+            ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%" PRId64
+            ",\"dur\":%" PRId64 ",\"pid\":1,\"tid\":%" PRIu64
+            ",\"args\":{\"span\":%" PRIu64 ",\"parent\":%" PRId64
+            ",\"detail\":%d}}",
+            name.c_str(), trace::to_string(s.kind), ts, dur, rid, s.id,
+            ref_parent(s), s.detail);
+      } else {
+        out += ref_format(
+            ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%" PRId64
+            ",\"s\":\"t\",\"pid\":1,\"tid\":%" PRIu64
+            ",\"args\":{\"span\":%" PRIu64 ",\"parent\":%" PRId64
+            ",\"detail\":%d,\"closed\":%s}}",
+            name.c_str(), trace::to_string(s.kind), ts, rid, s.id,
+            ref_parent(s), s.detail, s.closed() ? "true" : "false");
+      }
+    }
+  }
+  out += "\n]}\n";
+  return out;
+}
+
+std::string ref_spans_csv(const trace::TraceList& traces) {
+  std::string out =
+      "request_id,span_id,parent_id,kind,site,begin_us,end_us,duration_us,"
+      "detail,closed\n";
+  for (const auto& t : traces) {
+    if (!t) continue;
+    for (const trace::Span& s : t->spans()) {
+      out += ref_format("%" PRIu64 ",%" PRIu64 ",%" PRId64 ",%s,%s,%" PRId64
+                        ",%" PRId64 ",%" PRId64 ",%d,%d\n",
+                        t->request_id(), s.id, ref_parent(s),
+                        trace::to_string(s.kind),
+                        ref_csv_field(s.site).c_str(), s.begin.count_micros(),
+                        s.end.count_micros(), s.duration().count_micros(),
+                        s.detail, s.closed() ? 1 : 0);
+    }
+  }
+  return out;
+}
+
+void expect_matches_reference(const trace::TraceList& traces) {
+  EXPECT_EQ(trace::chrome_trace_json(traces), ref_chrome_trace_json(traces));
+  EXPECT_EQ(trace::spans_csv(traces), ref_spans_csv(traces));
+}
+
+// Minimal JSON reader for the exporter's output: objects, arrays,
+// strings, integers and literals, nothing after the top-level value. It
+// collects the decoded string value of every "name" key.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : s_(text) {}
+
+  bool parse() {
+    ws();
+    if (!value()) return false;
+    ws();
+    return i_ == s_.size();
+  }
+
+  std::vector<std::string> names;
+
+ private:
+  bool at(char c) const { return i_ < s_.size() && s_[i_] == c; }
+  void ws() {
+    while (at(' ') || at('\n') || at('\t') || at('\r')) ++i_;
+  }
+  bool word(std::string_view w) {
+    if (s_.substr(i_, w.size()) != w) return false;
+    i_ += w.size();
+    return true;
+  }
+  bool value() {
+    std::string ignored;
+    if (at('{')) return object();
+    if (at('[')) return array();
+    if (at('"')) return string(ignored);
+    if (at('t')) return word("true");
+    if (at('f')) return word("false");
+    if (at('n')) return word("null");
+    return number();
+  }
+  bool number() {
+    const std::size_t start = i_;
+    if (at('-')) ++i_;
+    const std::size_t digits = i_;
+    while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') ++i_;
+    return i_ > digits && i_ > start;
+  }
+  bool array() {
+    ++i_;
+    ws();
+    if (at(']')) return ++i_, true;
+    for (;;) {
+      ws();
+      if (!value()) return false;
+      ws();
+      if (at(']')) return ++i_, true;
+      if (!at(',')) return false;
+      ++i_;
+    }
+  }
+  bool object() {
+    ++i_;
+    ws();
+    if (at('}')) return ++i_, true;
+    for (;;) {
+      std::string key;
+      ws();
+      if (!string(key)) return false;
+      ws();
+      if (!at(':')) return false;
+      ++i_;
+      ws();
+      if (key == "name" && at('"')) {
+        std::string v;
+        if (!string(v)) return false;
+        names.push_back(std::move(v));
+      } else if (!value()) {
+        return false;
+      }
+      ws();
+      if (at('}')) return ++i_, true;
+      if (!at(',')) return false;
+      ++i_;
+    }
+  }
+  bool string(std::string& out) {
+    if (!at('"')) return false;
+    ++i_;
+    while (i_ < s_.size()) {
+      const char c = s_[i_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (i_ >= s_.size()) return false;
+      switch (s_[i_++]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          if (i_ + 4 > s_.size()) return false;
+          const unsigned long cp =
+              std::stoul(std::string(s_.substr(i_, 4)), nullptr, 16);
+          if (cp >= 0x80) return false;  // the exporter escapes ASCII only
+          out += static_cast<char>(cp);
+          i_ += 4;
+          break;
+        }
+        default: return false;
+      }
+    }
+    return false;
+  }
+
+  std::string_view s_;
+  std::size_t i_ = 0;
+};
+
+// RFC 4180 reader: one vector of fields per record.
+std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted) {
+      if (c != '"') {
+        field += c;
+      } else if (i + 1 < text.size() && text[i + 1] == '"') {
+        field += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      row.push_back(std::move(field));
+      field.clear();
+    } else if (c == '\n') {
+      row.push_back(std::move(field));
+      field.clear();
+      rows.push_back(std::move(row));
+      row.clear();
+    } else {
+      field += c;
+    }
+  }
+  EXPECT_FALSE(quoted) << "unterminated quoted field";
+  EXPECT_TRUE(row.empty() && field.empty()) << "last record lacks its newline";
+  return rows;
+}
+
+// One trace holding every record shape the exporters emit.
+trace::TracePtr every_shape_trace(std::uint64_t id,
+                                  const std::vector<std::string>& sites) {
+  trace::TracePtr t = trace::trace_pool().make(id);
+  const auto root = t->open(SpanKind::kRequest, "client", trace::kNoSpan,
+                            Time::from_micros(1000));
+  const auto hop = t->add(SpanKind::kHop, "apache", root, Time::from_micros(1010),
+                          Time::from_micros(4500), /*detail=*/7);
+  t->add(SpanKind::kRtoGap, "client->apache", root, Time::from_micros(1000),
+         Time::from_micros(3001000), /*detail=*/1);
+  t->instant(SpanKind::kDrop, "apache", hop, Time::from_micros(1020),
+             /*detail=*/2);
+  t->add(SpanKind::kService, "apache", hop, Time::from_micros(2000),
+         Time::from_micros(2000));  // closed, zero length
+  t->open(SpanKind::kDownstream, "apache->tomcat", hop,
+          Time::from_micros(2500));  // never closed
+  for (const auto& site : sites)
+    t->add(SpanKind::kPoolQueue, site, hop, Time::from_micros(3000),
+           Time::from_micros(3100), /*detail=*/-3);
+  t->close(root, Time::from_micros(9000));
+  return t;
+}
+
+TEST(TraceExport, MatchesPrintfReferenceOnHandBuiltTraces) {
+  const std::vector<std::string> odd_sites = {
+      "say \"hi\"", "back\\slash", "line\nbreak", "tab\there",
+      "ctl\x01" "byte", "c,d", "cr\rlf", "q\"uo,te"};
+  trace::TraceList traces;
+  traces.push_back(every_shape_trace(11, {}));
+  traces.push_back(nullptr);
+  traces.push_back(trace::trace_pool().make(std::uint64_t{12}));  // empty: skipped
+  traces.push_back(every_shape_trace(18446744073709551615ull, odd_sites));
+  expect_matches_reference(traces);
+
+  const std::string json = trace::chrome_trace_json(traces);
+  // One thread_name record per non-empty trace.
+  std::size_t threads = 0;
+  for (auto p = json.find("thread_name"); p != std::string::npos;
+       p = json.find("thread_name", p + 1))
+    ++threads;
+  EXPECT_EQ(threads, 2u);
+  EXPECT_NE(json.find("\"ph\":\"X\",\"ts\":1010,\"dur\":3490,"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"service apache\",\"cat\":\"service\",\"ph\":\"i\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"parent\":-1,\"detail\":0}}"), std::string::npos);
+  EXPECT_NE(json.find("\"closed\":false}}"), std::string::npos);
+  EXPECT_NE(json.find("\"detail\":2,\"closed\":true}}"), std::string::npos);
+
+  JsonReader reader(json);
+  ASSERT_TRUE(reader.parse());
+  for (const auto& site : odd_sites)
+    EXPECT_EQ(std::count(reader.names.begin(), reader.names.end(),
+                         "pool_queue " + site),
+              1)
+        << site;
+}
+
+TEST(TraceExport, LongSiteIsExportedInFull) {
+  std::string site;
+  while (site.size() < 640) site += "svc-\"segment\"\\";
+  trace::TraceList traces;
+  traces.push_back(every_shape_trace(5, {site}));
+  expect_matches_reference(traces);
+
+  const std::string json = trace::chrome_trace_json(traces);
+  JsonReader reader(json);
+  ASSERT_TRUE(reader.parse());
+  EXPECT_EQ(std::count(reader.names.begin(), reader.names.end(),
+                       "pool_queue " + site),
+            1);
+
+  const auto rows = parse_csv(trace::spans_csv(traces));
+  ASSERT_EQ(rows.size(), 1u + traces.front()->spans().size());
+  EXPECT_EQ(rows.back().size(), 10u);
+  EXPECT_EQ(rows.back()[4], site);
+  EXPECT_EQ(rows.back()[9], "1");
+}
+
+TEST(TraceExport, CsvQuotesOnlySitesThatNeedIt) {
+  const std::vector<std::string> sites = {"c,d", "q\"t", "cr\r", "lf\n",
+                                          "plain:pool"};
+  trace::TraceList traces;
+  traces.push_back(every_shape_trace(3, sites));
+  const std::string csv = trace::spans_csv(traces);
+  EXPECT_NE(csv.find(",pool_queue,plain:pool,"), std::string::npos);
+  EXPECT_NE(csv.find(",pool_queue,\"c,d\","), std::string::npos);
+  EXPECT_NE(csv.find(",pool_queue,\"q\"\"t\","), std::string::npos);
+  const auto rows = parse_csv(csv);
+  ASSERT_EQ(rows.size(), 1u + traces.front()->spans().size());
+  for (const auto& row : rows) EXPECT_EQ(row.size(), 10u);
+  for (std::size_t i = 0; i < sites.size(); ++i)
+    EXPECT_EQ(rows[rows.size() - sites.size() + i][4], sites[i]);
 }
 
 // --- full-system runs -------------------------------------------------------
@@ -215,6 +590,54 @@ TEST(TraceSystem, SameSeedRunsEmitByteIdenticalExports) {
             trace::chrome_trace_json(b->tracer()->traces()));
   EXPECT_EQ(trace::spans_csv(a->tracer()->traces()),
             trace::spans_csv(b->tracer()->traces()));
+}
+
+TEST(TraceSystem, ExportsMatchPrintfReference) {
+  expect_matches_reference(all_run().tracer()->traces());
+}
+
+// The diamond service graph with a freezing db: fan-out, fan-in, drops
+// and RTO gaps at the front, all traced.
+std::string diamond_text(const std::string& mid) {
+  return "graph diamond\nseed 7\nsessions 3000\nduration 12s\n"
+         "node front kind=sync threads=150 work=cpu:60us,down,cpu:60us\n"
+         "node " + mid + " kind=sync threads=120 work=cpu:80us,down,cpu:40us\n"
+         "node ads kind=sync threads=120 work=cpu:80us,down,cpu:40us\n"
+         "node db kind=sync threads=100 work=cpu:500us\n"
+         "edge front " + mid + "\nedge front ads\nedge " + mid + " db\n"
+         "edge ads db\nfreeze db first=8s period=12s pause=900ms\n";
+}
+
+std::unique_ptr<graph::GraphSystem> traced_diamond(const std::string& mid) {
+  auto cfg = graph::parse_topology(diamond_text(mid));
+  cfg.trace.mode = trace::TraceMode::kAll;
+  auto sys = std::make_unique<graph::GraphSystem>(std::move(cfg));
+  sys->run();
+  return sys;
+}
+
+TEST(TraceSystem, GraphExportsMatchPrintfReference) {
+  const auto sys = traced_diamond("catalog");
+  ASSERT_GT(sys->total_drops(), 0u);
+  expect_matches_reference(sys->tracer()->traces());
+}
+
+TEST(TraceSystem, CommaInANodeNameKeepsTenCsvFields) {
+  const auto sys = traced_diamond("c,d");
+  const auto& traces = sys->tracer()->traces();
+  const auto rows = parse_csv(trace::spans_csv(traces));
+  std::size_t spans = 0;
+  for (const auto& t : traces) spans += t->spans().size();
+  ASSERT_EQ(rows.size(), 1u + spans);
+  std::size_t comma_sites = 0;
+  for (const auto& row : rows) {
+    ASSERT_EQ(row.size(), 10u);
+    if (row[4].find(',') != std::string::npos) ++comma_sites;
+  }
+  EXPECT_GT(comma_sites, 0u);
+  const std::string json = trace::chrome_trace_json(traces);
+  JsonReader reader(json);
+  EXPECT_TRUE(reader.parse());
 }
 
 TEST(TraceSystem, TracingDoesNotPerturbTheSimulation) {
