@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 #include "core/system.h"
 
@@ -198,11 +199,12 @@ CtqoReport analyze_tiers(const std::vector<TierView>& tiers,
 std::string VlrtAttributionRow::to_string() const {
   char buf[320];
   std::snprintf(buf, sizeof buf,
-                "req %8llu  %9.1f ms  dominant %s at %s %.1f ms (%4.1f%%)  "
+                "req %8llu  %9.1f ms  dominant %s at %.*s %.1f ms (%4.1f%%)  "
                 "rto %.1f ms (%4.1f%%)",
                 static_cast<unsigned long long>(request_id),
                 latency.to_millis(), trace::to_string(dominant.kind),
-                dominant.site.c_str(), dominant.time.to_millis(),
+                static_cast<int>(dominant.site.size()), dominant.site.data(),
+                dominant.time.to_millis(),
                 dominant.share * 100.0, rto_time.to_millis(),
                 rto_share * 100.0);
   std::string out = buf;
@@ -259,15 +261,14 @@ VlrtAttributionTable attribute_vlrt(
       if (item.kind == trace::SpanKind::kRtoGap) { rto_item = &item; break; }
     }
     if (rto_item != nullptr) {
-      const auto arrow = rto_item->site.find("->");
-      row.drop_tier = arrow == std::string::npos
-                          ? rto_item->site
-                          : rto_item->site.substr(arrow + 2);
+      const std::string_view hop = rto_item->site;
+      const auto arrow = hop.find("->");
+      row.drop_tier = arrow == std::string_view::npos ? hop : hop.substr(arrow + 2);
       // The first retransmission at that hop begins AT the drop instant,
       // so it falls inside the episode that clustered the drop.
       sim::Time first_gap = sim::Time::max();
       for (const auto& s : tr->spans()) {
-        if (s.kind == trace::SpanKind::kRtoGap && s.site == rto_item->site &&
+        if (s.kind == trace::SpanKind::kRtoGap && s.site.view() == hop &&
             s.begin < first_gap) {
           first_gap = s.begin;
         }

@@ -7,6 +7,7 @@ namespace ntier::cpu {
 DvfsGovernor::DvfsGovernor(sim::Simulation& sim, HostCpu& host, Config cfg)
     : sim_(sim), host_(host), cfg_(cfg), nominal_(host.n_cores()), freq_(cfg.start_freq) {
   apply(freq_);
+  host_.advance();
   last_busy_ = host_.total_busy_core_seconds();
   sim_.after(cfg_.interval, [this] { tick(); }, sim::SchedClass::kTimer);
 }
@@ -21,6 +22,7 @@ void DvfsGovernor::apply(double freq) {
 }
 
 void DvfsGovernor::tick() {
+  host_.advance();
   const double busy = host_.total_busy_core_seconds();
   const double used = busy - last_busy_;
   last_busy_ = busy;

@@ -158,26 +158,36 @@ void HostCpu::set_capacity(double n_cores) {
   reschedule();
 }
 
-double HostCpu::total_busy_core_seconds() {
-  advance();
+double HostCpu::unadvanced_seconds() const {
+  const sim::Time now = sim_.now();
+  return now > last_advance_ ? (now - last_advance_).to_seconds() : 0.0;
+}
+
+double HostCpu::total_busy_core_seconds() const {
   double acc = 0.0;
-  for (const auto& vm : vms_) acc += vm->busy_core_s_;
+  for (const auto& vm : vms_) acc += vm->busy_core_seconds();
   return acc;
 }
 
-double VmCpu::busy_core_seconds() {
-  host_.advance();
-  return busy_core_s_;
+// Each getter adds exactly the term advance() would add for the pending
+// stretch, and nothing when there is none.
+double VmCpu::busy_core_seconds() const {
+  const double dt = host_.unadvanced_seconds();
+  if (dt == 0.0 || jobs_.empty() || alloc_ <= 0.0) return busy_core_s_;
+  return busy_core_s_ + alloc_ * dt;
 }
 
-double VmCpu::demand_seconds() {
-  host_.advance();
-  return want_s_;
+double VmCpu::demand_seconds() const {
+  const double dt = host_.unadvanced_seconds();
+  if (dt == 0.0 || jobs_.empty()) return want_s_;
+  return want_s_ + dt;
 }
 
-double VmCpu::stalled_seconds() {
-  host_.advance();
-  return stalled_s_;
+double VmCpu::stalled_seconds() const {
+  const double dt = host_.unadvanced_seconds();
+  if (dt == 0.0 || jobs_.empty() || alloc_ != 0.0 || frozen_until_ < host_.sim_.now())
+    return stalled_s_;
+  return stalled_s_ + dt;
 }
 
 }  // namespace ntier::cpu

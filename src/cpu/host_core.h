@@ -52,16 +52,20 @@ class VmCpu {
 
   std::size_t active_jobs() const { return jobs_.size(); }
 
-  // --- accounting (cumulative; monitors diff successive reads). The
-  // getters sync integration up to now() first, so sampling windows are
-  // exact even when no CPU event fell on the window edge. ---
+  HostCpu& host() const { return host_; }
+
+  // --- accounting (cumulative up to now(); monitors diff successive
+  // reads). The getters are pure reads: they add the not yet integrated
+  // stretch since the host's last advance() without folding it in, so
+  // reading them never changes the PS model's float accumulation (and
+  // with it later completion times). ---
   // Core-seconds actually consumed.
-  double busy_core_seconds();
+  double busy_core_seconds() const;
   // Seconds during which >= 1 job was present (guest-visible "CPU busy
   // or runnable": this is what pegs at 100% during a millibottleneck).
-  double demand_seconds();
+  double demand_seconds() const;
   // Seconds frozen while jobs were present (guest-visible I/O wait).
-  double stalled_seconds();
+  double stalled_seconds() const;
 
  private:
   friend class HostCpu;
@@ -116,13 +120,21 @@ class HostCpu {
   void set_capacity(double n_cores);
 
   // Total core-seconds consumed by all VMs up to now (governor input).
-  double total_busy_core_seconds();
+  // A pure read, like VmCpu's getters.
+  double total_busy_core_seconds() const;
+
+  // Integrates accounting and attained service up to sim.now(). The
+  // model calls it at every arrival, completion and capacity change;
+  // the Sampler tick and the DVFS governor call it before they read
+  // the getters, at the instants where they always have, so every
+  // seeded result keeps its float accumulation order.
+  void advance();
 
  private:
   friend class VmCpu;
 
-  // Brings accounting and attained-service up to sim.now().
-  void advance();
+  // Simulated seconds since the last advance() (0 if none passed).
+  double unadvanced_seconds() const;
   // Recomputes allocations and re-arms the next completion event.
   void reschedule();
   void on_completion_event();

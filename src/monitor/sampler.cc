@@ -62,6 +62,7 @@ void Sampler::tick() {
   const double win_s = window_.to_seconds();
 
   for (auto& t : vms_) {
+    t.vm->host().advance();
     const double busy = t.vm->busy_core_seconds();
     const double want = t.vm->demand_seconds();
     const double stall = t.vm->stalled_seconds();

@@ -22,7 +22,7 @@ bool AsyncServer::do_offer(Job job) {
   if (in_system_ >= cfg_.lite_q_depth) {
     note_drop();
     job.req->stamp(name_, ":drop", sim_.now());
-    trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
+    trace_instant(job.req, trace::SpanKind::kDrop, site_, job.parent_span,
                   sim_.now(), /*detail=*/0);
     return false;
   }
@@ -31,9 +31,9 @@ bool AsyncServer::do_offer(Job job) {
   CtxPtr ctx = ctx_pool().make();
   ctx->prog = &program_for(*job.req);
   ctx->job = std::move(job);
-  ctx->hop = trace_open(ctx->job.req, trace::SpanKind::kHop, name_,
+  ctx->hop = trace_open(ctx->job.req, trace::SpanKind::kHop, site_,
                         ctx->job.parent_span, sim_.now());
-  ctx->qspan = trace_open(ctx->job.req, trace::SpanKind::kPoolQueue, name_,
+  ctx->qspan = trace_open(ctx->job.req, trace::SpanKind::kPoolQueue, site_,
                           ctx->hop, sim_.now());
   ctx->enq = sim_.now();
   wait_q_.push_back(std::move(ctx));
@@ -98,7 +98,7 @@ void AsyncServer::run_step(const CtxPtr& ctx) {
         return;
       }
       const std::uint64_t sp = trace_open(ctx->job.req, trace::SpanKind::kService,
-                                          name_, ctx->hop, sim_.now());
+                                          site_, ctx->hop, sim_.now());
       vm_->submit(step.amount, [this, ctx, sp] {
         trace_close(ctx->job.req, sp, sim_.now());
         ++ctx->pc;
@@ -109,7 +109,7 @@ void AsyncServer::run_step(const CtxPtr& ctx) {
     case WorkStep::Kind::kDisk: {
       assert(io_ != nullptr && "kDisk step requires attach_io()");
       const std::uint64_t sp = trace_open(ctx->job.req, trace::SpanKind::kDisk,
-                                          name_, ctx->hop, sim_.now());
+                                          site_, ctx->hop, sim_.now());
       io_->submit_service(step.amount, [this, ctx, sp] {
         trace_close(ctx->job.req, sp, sim_.now());
         ++ctx->pc;
@@ -132,7 +132,7 @@ void AsyncServer::run_step(const CtxPtr& ctx) {
         // The reply landed but the event loop may be saturated: the wait
         // for an active slot is another run-queue span.
         ctx->qspan = trace_open(ctx->job.req, trace::SpanKind::kPoolQueue,
-                                name_, ctx->hop, sim_.now());
+                                site_, ctx->hop, sim_.now());
         resume_q_.push_back(ctx);
         pump();
       });

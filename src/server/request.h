@@ -128,10 +128,10 @@ inline sim::SlabPool<Job>& job_pool() {
 }
 
 // No-op-safe span helpers: every instrumentation site goes through
-// these, so untraced requests pay one pointer test and nothing else
-// (site strings are copied only when the request is traced).
+// these, so untraced requests pay one pointer test and nothing else.
+// `site` is a handle the caller interned when it was built or wired.
 inline std::uint64_t trace_open(const RequestPtr& r, trace::SpanKind k,
-                                const std::string& site, std::uint64_t parent,
+                                trace::Site site, std::uint64_t parent,
                                 sim::Time begin, int detail = 0) {
   if (!r->traced()) return trace::kNoSpan;
   return r->spans->open(k, site, parent, begin, detail);
@@ -140,19 +140,19 @@ inline void trace_close(const RequestPtr& r, std::uint64_t id, sim::Time end) {
   if (r->traced()) r->spans->close(id, end);
 }
 inline void trace_add(const RequestPtr& r, trace::SpanKind k,
-                      const std::string& site, std::uint64_t parent,
+                      trace::Site site, std::uint64_t parent,
                       sim::Time begin, sim::Time end, int detail = 0) {
   if (r->traced()) r->spans->add(k, site, parent, begin, end, detail);
 }
 inline void trace_instant(const RequestPtr& r, trace::SpanKind k,
-                          const std::string& site, std::uint64_t parent,
+                          trace::Site site, std::uint64_t parent,
                           sim::Time at, int detail = 0) {
   if (r->traced()) r->spans->instant(k, site, parent, at, detail);
 }
-// The request's root span id (the client opens it first), or kNoSpan.
+// The request's root span id (the client opens it first, so it is span
+// 0), or kNoSpan.
 inline std::uint64_t trace_root(const RequestPtr& r) {
-  return (r->traced() && !r->spans->empty()) ? r->spans->root().id
-                                             : trace::kNoSpan;
+  return (r->traced() && !r->spans->empty()) ? 0 : trace::kNoSpan;
 }
 
 }  // namespace ntier::server

@@ -20,10 +20,9 @@ struct DispatchState {
   net::Transport* tx = nullptr;
   Server::Route* route = nullptr;
   // Tracing: the downstream-wait span all attempts/gaps/policy events of
-  // this dispatch nest under, and its site label ("tomcat->mysql") —
-  // built only for traced requests.
+  // this dispatch nest under, and its site label ("tomcat->mysql").
   std::uint64_t ds_span = trace::kNoSpan;
-  std::string site;
+  trace::Site site;
 
   // Closes the downstream-wait span and resumes the caller. Runs once
   // per dispatch (callers guard via `settled`).
@@ -81,6 +80,7 @@ Server::Server(sim::Simulation& sim, std::string name, cpu::VmCpu* vm,
                std::function<Program(const RequestClassProfile&)> program_fn)
     : sim_(sim),
       name_(std::move(name)),
+      site_(trace::intern_site(name_)),
       vm_(vm),
       profile_(profile),
       program_fn_(std::move(program_fn)) {
@@ -93,6 +93,7 @@ Server::Server(sim::Simulation& sim, std::string name, cpu::VmCpu* vm,
 void Server::connect_downstream(Server* next, net::RtoPolicy rto, net::Link link) {
   assert(routes_.empty() && "connect_downstream and add_route are exclusive");
   downstream_ = next;
+  downstream_site_ = trace::intern_site(name_ + "->" + next->name());
   transport_ = std::make_unique<net::Transport>(sim_, rto, link);
 }
 
@@ -104,6 +105,7 @@ void Server::add_route(std::function<Server*()> pick, net::RtoPolicy rto,
   rt.pick = std::move(pick);
   rt.transport = std::make_unique<net::Transport>(sim_, rto, link);
   rt.label = std::move(label);
+  rt.site = trace::intern_site(name_ + "->" + rt.label);
   routes_.push_back(std::move(rt));
 }
 
@@ -124,7 +126,7 @@ bool Server::offer(Job job) {
     note_offer();
     ++stats_.refused_down;
     job.req->stamp(name_, ":refused", sim_.now());
-    trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
+    trace_instant(job.req, trace::SpanKind::kDrop, site_, job.parent_span,
                   sim_.now(), /*detail=*/1);
     note_drop();
     return false;
@@ -138,7 +140,7 @@ bool Server::offer(Job job) {
     job.req->failed = true;
     job.req->deadline_expired = true;
     job.req->stamp(name_, ":expired", sim_.now());
-    trace_instant(job.req, trace::SpanKind::kDeadlineCancel, name_,
+    trace_instant(job.req, trace::SpanKind::kDeadlineCancel, site_,
                   job.parent_span, sim_.now());
     auto jr = job_pool().make(std::move(job));
     sim_.after(sim::Duration::zero(), [jr] { jr->reply(jr->req); },
@@ -157,7 +159,7 @@ bool Server::offer(Job job) {
         if (!job.req->degraded) {
           job.req->degraded = true;
           job.req->stamp(name_, ":degraded", sim_.now());
-          trace_instant(job.req, trace::SpanKind::kBrownout, name_,
+          trace_instant(job.req, trace::SpanKind::kBrownout, site_,
                         job.parent_span, sim_.now());
         }
         break;
@@ -167,7 +169,7 @@ bool Server::offer(Job job) {
           // Paper baseline: refuse the packet like a full accept queue;
           // the sender's TCP stack retransmits per its RTO.
           job.req->stamp(name_, ":shed_drop", sim_.now());
-          trace_instant(job.req, trace::SpanKind::kOverloadShed, name_,
+          trace_instant(job.req, trace::SpanKind::kOverloadShed, site_,
                         job.parent_span, sim_.now(), /*detail=*/1);
           note_drop();
           return false;
@@ -198,7 +200,7 @@ void Server::shed_job(Job job, bool accepted, int detail) {
   job.req->failed = true;
   job.req->overload_shed = true;
   job.req->stamp(name_, ":shed", sim_.now());
-  trace_instant(job.req, trace::SpanKind::kOverloadShed, name_, job.parent_span,
+  trace_instant(job.req, trace::SpanKind::kOverloadShed, site_, job.parent_span,
                 sim_.now(), detail);
   if (accepted) note_reply();
   // The canned rejection is produced without a worker but still crosses
@@ -241,7 +243,7 @@ void Server::dispatch_via(Route* route, const RequestPtr& req,
   st->tx = route != nullptr ? route->transport.get() : transport_.get();
   st->route = route;
   if (req->traced()) {
-    st->site = name_ + "->" + (route != nullptr ? route->label : downstream_->name());
+    st->site = route != nullptr ? route->site : downstream_site_;
     st->ds_span = trace_open(req, trace::SpanKind::kDownstream, st->site,
                              parent_span, sim_.now());
   }

@@ -102,6 +102,7 @@ class Server {
     std::function<Server*()> pick;
     std::unique_ptr<net::Transport> transport;
     std::string label;
+    trace::Site site;  // "<server>-><label>", interned at wiring
   };
 
   // Adds one fan-out route. A server with routes dispatches every
@@ -219,6 +220,7 @@ class Server {
 
   sim::Simulation& sim_;
   std::string name_;
+  trace::Site site_;  // name_, interned once for this tier's spans
   cpu::VmCpu* vm_;
   cpu::IoDevice* io_ = nullptr;
   const AppProfile* profile_;
@@ -226,6 +228,7 @@ class Server {
   std::vector<Program> programs_;  // one per request class, built once
 
   Server* downstream_ = nullptr;
+  trace::Site downstream_site_;  // "<name>-><downstream>", interned at wiring
   std::unique_ptr<net::Transport> transport_;
   std::vector<Route> routes_;
   std::unique_ptr<policy::HopGovernor> governor_;

@@ -15,8 +15,8 @@ StagedServer::StagedServer(sim::Simulation& sim, std::string name, cpu::VmCpu* v
                            StagedConfig cfg)
     : Server(sim, std::move(name), vm, profile, std::move(program_fn)),
       cfg_(cfg),
-      site_ingress_(name_ + ":ingress"),
-      site_cont_(name_ + ":cont") {
+      site_ingress_(trace::intern_site(name_ + ":ingress")),
+      site_cont_(trace::intern_site(name_ + ":cont")) {
   assert(cfg.ingress.threads > 0 && cfg.continuation.threads > 0);
 }
 
@@ -25,7 +25,7 @@ bool StagedServer::do_offer(Job job) {
   if (ingress_q_.size() >= cfg_.ingress.queue_cap) {
     note_drop();
     job.req->stamp(name_, ":drop", sim_.now());
-    trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
+    trace_instant(job.req, trace::SpanKind::kDrop, site_, job.parent_span,
                   sim_.now(), /*detail=*/0);
     return false;
   }
@@ -34,7 +34,7 @@ bool StagedServer::do_offer(Job job) {
   CtxPtr ctx = ctx_pool().make();
   ctx->prog = &program_for(*job.req);
   ctx->job = std::move(job);
-  ctx->hop = trace_open(ctx->job.req, trace::SpanKind::kHop, name_,
+  ctx->hop = trace_open(ctx->job.req, trace::SpanKind::kHop, site_,
                         ctx->job.parent_span, sim_.now());
   ctx->qspan = trace_open(ctx->job.req, trace::SpanKind::kPoolQueue,
                           site_ingress_, ctx->hop, sim_.now());
@@ -99,7 +99,7 @@ void StagedServer::run_step(const CtxPtr& ctx, bool continuation_stage) {
         return;
       }
       const std::uint64_t sp = trace_open(ctx->job.req, trace::SpanKind::kService,
-                                          name_, ctx->hop, sim_.now());
+                                          site_, ctx->hop, sim_.now());
       vm_->submit(step.amount, [this, ctx, sp, continuation_stage] {
         trace_close(ctx->job.req, sp, sim_.now());
         ++ctx->pc;
@@ -110,7 +110,7 @@ void StagedServer::run_step(const CtxPtr& ctx, bool continuation_stage) {
     case WorkStep::Kind::kDisk: {
       assert(io_ != nullptr && "kDisk step requires attach_io()");
       const std::uint64_t sp = trace_open(ctx->job.req, trace::SpanKind::kDisk,
-                                          name_, ctx->hop, sim_.now());
+                                          site_, ctx->hop, sim_.now());
       io_->submit_service(step.amount, [this, ctx, sp, continuation_stage] {
         trace_close(ctx->job.req, sp, sim_.now());
         ++ctx->pc;

@@ -78,8 +78,8 @@ class StagedServer : public Server {
   void finish(const CtxPtr& ctx, bool continuation_stage);
 
   StagedConfig cfg_;
-  const std::string site_ingress_;  // "<name>:ingress" (built once)
-  const std::string site_cont_;     // "<name>:cont" (built once)
+  const trace::Site site_ingress_;  // "<name>:ingress" (interned once)
+  const trace::Site site_cont_;     // "<name>:cont" (interned once)
   std::deque<CtxPtr> ingress_q_;
   std::deque<CtxPtr> cont_q_;
   std::size_t ingress_active_ = 0;

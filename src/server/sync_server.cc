@@ -17,8 +17,8 @@ SyncServer::SyncServer(sim::Simulation& sim, std::string name, cpu::VmCpu* vm,
                        SyncConfig cfg)
     : Server(sim, std::move(name), vm, profile, std::move(program_fn)),
       cfg_(cfg),
-      site_dbpool_(name_ + ":dbpool"),
-      site_cookie_(name_ + ":syncookie"),
+      site_dbpool_(trace::intern_site(name_ + ":dbpool")),
+      site_cookie_(trace::intern_site(name_ + ":syncookie")),
       threads_(cfg.threads_per_process),
       accept_q_(cfg.backlog) {
   assert(cfg.threads_per_process > 0);
@@ -32,7 +32,7 @@ bool SyncServer::do_offer(Job job) {
   if (busy_ < threads_) {
     note_accept();
     job.req->stamp(name_, ":admit", sim_.now());
-    const std::uint64_t hop = trace_open(job.req, trace::SpanKind::kHop, name_,
+    const std::uint64_t hop = trace_open(job.req, trace::SpanKind::kHop, site_,
                                          job.parent_span, sim_.now());
     start(std::move(job), hop);
     return true;
@@ -42,9 +42,9 @@ bool SyncServer::do_offer(Job job) {
     note_accept();
     job.req->stamp(name_, ":backlog", sim_.now());
     Queued q;
-    q.hop = trace_open(job.req, trace::SpanKind::kHop, name_, job.parent_span,
+    q.hop = trace_open(job.req, trace::SpanKind::kHop, site_, job.parent_span,
                        sim_.now());
-    q.qspan = trace_open(job.req, trace::SpanKind::kAcceptQueue, name_, q.hop,
+    q.qspan = trace_open(job.req, trace::SpanKind::kAcceptQueue, site_, q.hop,
                          sim_.now());
     q.enq = sim_.now();
     q.cookie = (admit == net::TcpQueue::Admit::kCookie);
@@ -59,7 +59,7 @@ bool SyncServer::do_offer(Job job) {
     ++shed_;
     job.req->failed = true;
     job.req->stamp(name_, ":shed", sim_.now());
-    trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
+    trace_instant(job.req, trace::SpanKind::kDrop, site_, job.parent_span,
                   sim_.now(), /*detail=*/2);
     auto jr = job_pool().make(std::move(job));
     sim_.after(sim::Duration::micros(50), [jr] { jr->reply(jr->req); },
@@ -69,7 +69,7 @@ bool SyncServer::do_offer(Job job) {
   }
   note_drop();
   job.req->stamp(name_, ":drop", sim_.now());
-  trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
+  trace_instant(job.req, trace::SpanKind::kDrop, site_, job.parent_span,
                 sim_.now(), /*detail=*/0);
   check_spawn();
   return false;
@@ -120,7 +120,7 @@ void SyncServer::run_step(const CtxPtr& ctx) {
       // The service span includes CPU-contention stall (demand vs wall
       // time inside VmCpu) — it measures occupancy, not pure work.
       const std::uint64_t sp = trace_open(ctx->job.req, trace::SpanKind::kService,
-                                          name_, ctx->hop, sim_.now());
+                                          site_, ctx->hop, sim_.now());
       vm_->submit(demand, [this, ctx, sp] {
         trace_close(ctx->job.req, sp, sim_.now());
         ++ctx->pc;
@@ -131,7 +131,7 @@ void SyncServer::run_step(const CtxPtr& ctx) {
     case WorkStep::Kind::kDisk: {
       assert(io_ != nullptr && "kDisk step requires attach_io()");
       const std::uint64_t sp = trace_open(ctx->job.req, trace::SpanKind::kDisk,
-                                          name_, ctx->hop, sim_.now());
+                                          site_, ctx->hop, sim_.now());
       io_->submit_service(step.amount, [this, ctx, sp] {
         trace_close(ctx->job.req, sp, sim_.now());
         ++ctx->pc;

@@ -111,8 +111,8 @@ class SyncServer : public Server {
   std::optional<Queued> take_from_backlog();
 
   SyncConfig cfg_;
-  const std::string site_dbpool_;  // "<name>:dbpool" (built once)
-  const std::string site_cookie_;  // "<name>:syncookie" (built once)
+  const trace::Site site_dbpool_;  // "<name>:dbpool" (interned once)
+  const trace::Site site_cookie_;  // "<name>:syncookie" (interned once)
   std::size_t threads_;     // current total across processes
   std::size_t processes_ = 1;
   std::size_t busy_ = 0;

@@ -20,8 +20,9 @@
 // holding a comma, double quote, CR or LF is quoted per RFC 4180; every
 // other field is written bare.
 //
-// Both exporters append straight into the returned string (no printf,
-// no per-record buffer), so a record of any length is written in full.
+// Each exporter measures its output in a first pass and writes it into
+// one exactly sized string in a second (no printf, no per-record
+// buffer, no regrowth), so a record of any length is written in full.
 #pragma once
 
 #include <memory>

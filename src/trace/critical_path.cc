@@ -11,13 +11,13 @@ namespace {
 struct Walker {
   const std::vector<Span>& spans;
   std::vector<std::vector<std::uint64_t>> children;
-  // Accumulated self-time per (kind, site).
-  std::map<std::pair<SpanKind, std::string>, sim::Duration> buckets;
+  // Accumulated self-time per (kind, site), in (kind, name) order.
+  std::map<std::pair<SpanKind, std::string_view>, sim::Duration> buckets;
 
   explicit Walker(const RequestTrace& t) : spans(t.spans()) {
     children.resize(spans.size());
-    for (const Span& s : spans)
-      if (s.parent != kNoSpan) children[s.parent].push_back(s.id);
+    for (std::uint64_t id = 0; id < spans.size(); ++id)
+      if (spans[id].parent != kNoSpan) children[spans[id].parent].push_back(id);
     // Allocation order is open order; sweep wants begin order. Stable
     // sort keeps same-instant siblings in open order for determinism.
     for (auto& kids : children)
@@ -29,13 +29,14 @@ struct Walker {
 
   void charge(const Span& s, sim::Time a, sim::Time b) {
     if (b <= a) return;
-    buckets[{s.kind, s.site}] += b - a;
+    buckets[{s.kind, s.site.view()}] += b - a;
   }
 
-  // Attributes [a, b) among `s` and its descendants.
-  void attribute(const Span& s, sim::Time a, sim::Time b) {
+  // Attributes [a, b) among span `id` and its descendants.
+  void attribute(std::uint64_t id, sim::Time a, sim::Time b) {
+    const Span& s = spans[id];
     sim::Time cursor = a;
-    for (std::uint64_t cid : children[s.id]) {
+    for (std::uint64_t cid : children[id]) {
       const Span& c = spans[cid];
       // Unclosed child: the request left it dangling; clamp to parent.
       const sim::Time cend = c.closed() ? c.end : b;
@@ -43,7 +44,7 @@ struct Walker {
       const sim::Time to = std::min(cend, b);
       if (to <= from) continue;
       charge(s, cursor, from);  // parent self-time before this child
-      attribute(c, from, to);
+      attribute(cid, from, to);
       cursor = to;
     }
     charge(s, cursor, b);  // parent self-time after the last child
@@ -60,7 +61,7 @@ CriticalPath critical_path(const RequestTrace& trace) {
   out.total = root.duration();
 
   Walker w(trace);
-  w.attribute(root, root.begin, root.end);
+  w.attribute(0, root.begin, root.end);
 
   for (const auto& [key, time] : w.buckets) {
     if (time <= sim::Duration::zero()) continue;
@@ -69,7 +70,7 @@ CriticalPath critical_path(const RequestTrace& trace) {
     item.site = key.second;
     item.time = time;
     item.share = out.total > sim::Duration::zero() ? time / out.total : 0.0;
-    out.items.push_back(std::move(item));
+    out.items.push_back(item);
   }
   std::stable_sort(out.items.begin(), out.items.end(),
                    [](const auto& a, const auto& b) { return a.time > b.time; });
@@ -89,8 +90,9 @@ std::string CriticalPath::to_string() const {
                 static_cast<unsigned long long>(request_id), total.to_millis());
   std::string out = buf;
   for (const Item& i : items) {
-    std::snprintf(buf, sizeof buf, " %.1f ms %s at %s (%.1f%%),",
-                  i.time.to_millis(), trace::to_string(i.kind), i.site.c_str(),
+    std::snprintf(buf, sizeof buf, " %.1f ms %s at %.*s (%.1f%%),",
+                  i.time.to_millis(), trace::to_string(i.kind),
+                  static_cast<int>(i.site.size()), i.site.data(),
                   i.share * 100.0);
     out += buf;
   }

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/span.h"
@@ -32,10 +33,11 @@ namespace ntier::trace {
 
 struct CriticalPath {
   // One (kind, site) bucket of attributed time, e.g. ("rto_gap",
-  // "apache->tomcat"). Sorted by time, largest first.
+  // "apache->tomcat"). Sorted by time, largest first. `site` views an
+  // interned name (trace::intern_site), valid for the whole process.
   struct Item {
     SpanKind kind = SpanKind::kRequest;
-    std::string site;
+    std::string_view site;
     sim::Duration time;
     double share = 0.0;  // time / total
   };

@@ -1,6 +1,11 @@
 #include "trace/span.h"
 
 #include <cassert>
+#include <functional>
+#include <mutex>
+#include <string>
+#include <string_view>
+#include <unordered_set>
 
 namespace ntier::trace {
 
@@ -25,20 +30,48 @@ const char* to_string(SpanKind k) {
   return "?";
 }
 
-std::uint64_t RequestTrace::open(SpanKind kind, std::string site,
+namespace {
+
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+// Node-based, so a name's address survives rehashing; a Site points at
+// the node's string for the rest of the process.
+struct SiteTable {
+  std::mutex mu;
+  std::unordered_set<std::string, NameHash, std::equal_to<>> names;
+};
+
+}  // namespace
+
+Site intern_site(std::string_view name) {
+  if (name.empty()) return Site();
+  // Never destroyed: spans (and their sites) may be read by other
+  // static destructors or thread exits after this table's would run.
+  static SiteTable* const table = new SiteTable;
+  const std::lock_guard<std::mutex> lock(table->mu);
+  auto it = table->names.find(name);
+  if (it == table->names.end()) it = table->names.emplace(name).first;
+  return Site(&*it);
+}
+
+std::uint64_t RequestTrace::open(SpanKind kind, Site site,
                                  std::uint64_t parent, sim::Time begin,
                                  int detail) {
   assert(parent == kNoSpan ? spans_.empty() : parent < spans_.size());
   Span s;
-  s.id = spans_.size();
   s.parent = parent;
-  s.kind = kind;
-  s.site = std::move(site);
   s.begin = begin;
   s.end = begin;
+  s.site = site;
   s.detail = detail;
-  spans_.push_back(std::move(s));
-  return spans_.back().id;
+  s.kind = kind;
+  spans_.push_back(s);
+  return spans_.size() - 1;
 }
 
 void RequestTrace::close(std::uint64_t id, sim::Time end) {
@@ -51,18 +84,18 @@ void RequestTrace::close(std::uint64_t id, sim::Time end) {
   s.closed_ = true;
 }
 
-std::uint64_t RequestTrace::add(SpanKind kind, std::string site,
+std::uint64_t RequestTrace::add(SpanKind kind, Site site,
                                 std::uint64_t parent, sim::Time begin,
                                 sim::Time end, int detail) {
-  const std::uint64_t id = open(kind, std::move(site), parent, begin, detail);
+  const std::uint64_t id = open(kind, site, parent, begin, detail);
   close(id, end);
   return id;
 }
 
-std::uint64_t RequestTrace::instant(SpanKind kind, std::string site,
+std::uint64_t RequestTrace::instant(SpanKind kind, Site site,
                                     std::uint64_t parent, sim::Time at,
                                     int detail) {
-  return add(kind, std::move(site), parent, at, at, detail);
+  return add(kind, site, parent, at, at, detail);
 }
 
 }  // namespace ntier::trace

@@ -17,12 +17,20 @@
 // the system when the run ends) reports `closed() == false`; analyzers
 // clamp such spans to the enclosing span's end.
 //
+// Memory: a Span is a 40-byte trivially copyable record. Its site is a
+// handle into a process-wide intern table (intern_site), not a string
+// of its own, and its id is its index in the tree, so recording a span
+// copies no string, looks nothing up and allocates only when the tree's
+// vector grows.
+//
 // Layering: this library depends only on `sim/` — servers, transports,
 // and clients record into it, and `core/` analyzes it, without cycles.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/slab_pool.h"
@@ -55,19 +63,42 @@ enum class SpanKind : std::uint8_t {
 // Stable lowercase name ("rto_gap", "service", ...) used in exports.
 const char* to_string(SpanKind k);
 
+// Handle to an interned site name: a tier ("tomcat"), a hop
+// ("tomcat->mysql") or "client". The names live in a process-wide table
+// that is never freed, so a handle is one pointer, equal handles mean
+// equal names, and view() is valid for the rest of the process on any
+// thread. Default-constructed, it names the empty site.
+class Site {
+ public:
+  constexpr Site() = default;
+  std::string_view view() const {
+    return name_ != nullptr ? std::string_view(*name_) : std::string_view();
+  }
+  friend bool operator==(Site a, Site b) { return a.name_ == b.name_; }
+
+ private:
+  friend Site intern_site(std::string_view name);
+  explicit Site(const std::string* name) : name_(name) {}
+  const std::string* name_ = nullptr;
+};
+
+// The handle for `name`, added to the table on first use. Thread-safe.
+// It takes a lock and a hash lookup, so recorders intern their names
+// once, when they are built or wired, and hand the handle to every span.
+Site intern_site(std::string_view name);
+
+// One span of a request's tree. Its id is its index in
+// RequestTrace::spans().
 struct Span {
-  std::uint64_t id = kNoSpan;      // index into RequestTrace::spans()
   std::uint64_t parent = kNoSpan;  // kNoSpan for the root span
-  SpanKind kind = SpanKind::kRequest;
-  // Where the time was spent: a tier name ("tomcat"), a hop
-  // ("tomcat->mysql" for downstream/RTO spans), or "client".
-  std::string site;
   sim::Time begin;                 // open instant (µs, simulated)
   sim::Time end;                   // close instant; valid iff closed()
+  Site site;                       // where the time was spent
   // Kind-specific small integer: retransmission/retry attempt number
   // for kRtoGap/kRetry, drop reason for kDrop (0 = queue overflow,
   // 1 = refused while crashed, 2 = load-shed), else 0.
-  int detail = 0;
+  std::int32_t detail = 0;
+  SpanKind kind = SpanKind::kRequest;
   bool closed_ = false;
 
   bool closed() const { return closed_; }
@@ -76,6 +107,12 @@ struct Span {
     return closed_ ? end - begin : sim::Duration::zero();
   }
 };
+
+// A kAll run keeps every span of every retained tree, so this size is
+// the tracer's memory per span (docs/TRACING.md sizes runs from it).
+static_assert(sizeof(Span) <= 40);
+static_assert(std::is_trivially_copyable_v<Span>);
+static_assert(std::is_trivially_destructible_v<Span>);
 
 // Append-only span tree for one request. Span ids are allocation order
 // (parents always precede children), which makes same-seed runs emit
@@ -88,16 +125,16 @@ class RequestTrace {
 
   // Opens a span; returns its id (pass to close()). `parent` may be
   // kNoSpan only for the root.
-  std::uint64_t open(SpanKind kind, std::string site, std::uint64_t parent,
+  std::uint64_t open(SpanKind kind, Site site, std::uint64_t parent,
                      sim::Time begin, int detail = 0);
   // Closes an open span at `end`; idempotent (later closes are ignored)
   // so first-reply-wins races cannot corrupt the tree.
   void close(std::uint64_t id, sim::Time end);
   // Records a closed span in one call (begin and end already known).
-  std::uint64_t add(SpanKind kind, std::string site, std::uint64_t parent,
+  std::uint64_t add(SpanKind kind, Site site, std::uint64_t parent,
                     sim::Time begin, sim::Time end, int detail = 0);
   // Records a zero-length marker span (policy events, drops).
-  std::uint64_t instant(SpanKind kind, std::string site, std::uint64_t parent,
+  std::uint64_t instant(SpanKind kind, Site site, std::uint64_t parent,
                         sim::Time at, int detail = 0);
 
   const std::vector<Span>& spans() const { return spans_; }
@@ -112,9 +149,10 @@ class RequestTrace {
   std::vector<Span> spans_;
 };
 
-// Span trees are slab-pooled (the per-request object is recycled; span
-// storage itself still grows with the tree — tracing explicitly costs
-// memory). TracePtr replaces the former shared_ptr<RequestTrace>.
+// Span trees are slab-pooled: the per-request object is recycled, but
+// its span vector still grows with the tree, doubling to the next power
+// of two (a retained tree of n spans holds room for the least power of
+// two >= n Spans, 40 bytes each) — tracing explicitly costs memory.
 using TracePtr = sim::PoolRef<RequestTrace>;
 
 // Thread-local pool behind Tracer::begin; exposed for tests.

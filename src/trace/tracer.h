@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/time.h"
@@ -48,6 +49,12 @@ struct TraceConfig {
   // Hard cap on retained traces across all modes.
   std::size_t max_traces = 200000;
 };
+
+// Why `cfg` cannot drive a run ("trace: ..."), or "" when it can: a
+// sampled mode needs sample_every_n > 0, any tracing mode needs
+// max_traces > 0, and vlrt-only mode a positive vlrt_threshold. Every
+// run kind's validation calls this before a Tracer is built.
+std::string invalid_reason(const TraceConfig& cfg);
 
 class Tracer {
  public:

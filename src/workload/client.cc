@@ -37,6 +37,8 @@ ClientPool::ClientPool(sim::Simulation& sim, sim::Rng rng,
       rng_(rng),
       profile_(profile),
       front_(front),
+      site_(trace::intern_site("client")),
+      link_site_(trace::intern_site("client->" + front->name())),
       cfg_(cfg),
       burst_(burst),
       transport_(sim, cfg.rto, cfg.link) {
@@ -93,9 +95,8 @@ void ClientPool::settle(std::size_t session, const server::RequestPtr& r) {
 // requests so the transport skips the call entirely.
 net::RetransmitFn ClientPool::retransmit_observer(const server::RequestPtr& req) {
   if (!req->traced()) return {};
-  std::string site = "client->" + front_->name();
   std::uint64_t root = server::trace_root(req);
-  return [req, site, root](sim::Time at, sim::Duration rto, int attempt) {
+  return [req, site = link_site_, root](sim::Time at, sim::Duration rto, int attempt) {
     req->spans->add(trace::SpanKind::kRtoGap, site, root, at, at + rto, attempt);
   };
 }
@@ -110,7 +111,7 @@ void ClientPool::issue(std::size_t session) {
   ++issued_;
   if (cfg_.tracer) {
     req->spans = cfg_.tracer->begin(req->id);
-    server::trace_open(req, trace::SpanKind::kRequest, "client", trace::kNoSpan,
+    server::trace_open(req, trace::SpanKind::kRequest, site_, trace::kNoSpan,
                        sim_.now());
   }
 
@@ -172,7 +173,7 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
     // Breaker open: the request fails instantly, no packet is sent.
     req->failed = true;
     req->stamp("client:breaker", sim_.now());
-    server::trace_instant(req, trace::SpanKind::kBreakerReject, "client",
+    server::trace_instant(req, trace::SpanKind::kBreakerReject, site_,
                           server::trace_root(req), sim_.now());
     fl->done = true;
     settle(session, req);
@@ -199,7 +200,7 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
       fl->req->failed = true;
       fl->req->deadline_expired = true;
       fl->req->stamp("client:deadline", sim_.now());
-      server::trace_instant(fl->req, trace::SpanKind::kDeadlineCancel, "client",
+      server::trace_instant(fl->req, trace::SpanKind::kDeadlineCancel, site_,
                             server::trace_root(fl->req), sim_.now());
       settle(fl->session, fl->req);
     }, sim::SchedClass::kTimer);
@@ -215,7 +216,7 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
         if (fl->req->has_deadline() && sim_.now() >= fl->req->deadline) return;
         ++fl->req->hedge_copies;
         ++governor_->stats().hedges;
-        server::trace_instant(fl->req, trace::SpanKind::kHedge, "client",
+        server::trace_instant(fl->req, trace::SpanKind::kHedge, site_,
                               server::trace_root(fl->req), sim_.now(), /*detail=*/i);
         send_attempt(fl, /*is_hedge=*/true);
       }, sim::SchedClass::kTimer);
@@ -302,7 +303,7 @@ void ClientPool::retry_or_fail(const FlPtr& fl) {
   }
   const sim::Duration backoff = governor_->next_backoff(fl->attempts);
   ++governor_->stats().retries;
-  server::trace_add(fl->req, trace::SpanKind::kRetry, "client",
+  server::trace_add(fl->req, trace::SpanKind::kRetry, site_,
                     server::trace_root(fl->req), sim_.now(), sim_.now() + backoff,
                     /*detail=*/fl->attempts);
   sim_.after(backoff, [this, fl] {

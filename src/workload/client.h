@@ -106,6 +106,10 @@ class ClientPool {
   sim::Rng rng_;
   const server::AppProfile* profile_;
   server::Server* front_;
+  // Span sites, interned once: the root and policy events ("client")
+  // and the client->front hop's RTO gaps.
+  trace::Site site_;
+  trace::Site link_site_;
   ClientConfig cfg_;
   BurstClock* burst_;
   net::Transport transport_;

@@ -141,6 +141,33 @@ TEST(Validation, RejectsDuplicateNodeNames) {
   EXPECT_NE(invalid_reason(cfg), "");
 }
 
+// A malformed trace setting must be rejected up front: a sampled mode
+// with sample_every_n = 0 used to pass and then divide by zero in
+// Tracer::begin on the first request.
+TEST(Validation, RejectsSampledTracingWithZeroStride) {
+  auto cfg = two_node();
+  cfg.trace.mode = trace::TraceMode::kSampled;
+  cfg.trace.sample_every_n = 0;
+  EXPECT_NE(invalid_reason(cfg).find("sample_every_n"), std::string::npos);
+  EXPECT_THROW(validate(cfg), std::invalid_argument);
+}
+
+TEST(Validation, RejectsTracingWithZeroMaxTraces) {
+  auto cfg = two_node();
+  cfg.trace.mode = trace::TraceMode::kAll;
+  cfg.trace.max_traces = 0;
+  EXPECT_NE(invalid_reason(cfg).find("max_traces"), std::string::npos);
+  EXPECT_THROW(validate(cfg), std::invalid_argument);
+}
+
+TEST(Validation, RejectsVlrtOnlyTracingWithoutThreshold) {
+  auto cfg = two_node();
+  cfg.trace.mode = trace::TraceMode::kVlrtOnly;
+  cfg.trace.vlrt_threshold = Duration::zero();
+  EXPECT_NE(invalid_reason(cfg).find("vlrt_threshold"), std::string::npos);
+  EXPECT_THROW(validate(cfg), std::invalid_argument);
+}
+
 TEST(Validation, RejectsEdfOnAsyncNode) {
   auto cfg = two_node();
   cfg.nodes[1].kind = NodeSpec::Kind::kAsync;
@@ -286,6 +313,39 @@ TEST(ChainEquivalence, HoldsUnderTailPolicyAndFaults) {
 // every branch in parallel and resumes at the barrier when the last
 // branch settles. Verified through the span trees of a traced run.
 
+// The traced diamond of the repo benchmark (perfbench graph_traced):
+// reading every VM's accounting getters at each of 300 slice edges must
+// not move a single completion. The getters used to integrate the PS
+// model up to the read instant, which split its float accumulation and
+// changed this run to 294,900 events and 301 VLRT.
+TEST(FanIn, AccountingReadsAtSliceEdgesDoNotPerturbTheRun) {
+  auto cfg = parse_topology(
+      "graph diamond\nseed 42\nsessions 3000\nduration 40s\n"
+      "node front kind=sync threads=150 work=cpu:60us,down,cpu:60us\n"
+      "node catalog kind=sync threads=120 work=cpu:80us,down,cpu:40us\n"
+      "node ads kind=sync threads=120 work=cpu:80us,down,cpu:40us\n"
+      "node db kind=sync threads=100 work=cpu:500us\n"
+      "edge front catalog\nedge front ads\nedge catalog db\nedge ads db\n"
+      "freeze db first=8s period=12s pause=900ms\n");
+  cfg.trace.mode = trace::TraceMode::kAll;
+  cfg.obs.enabled = true;
+  validate(cfg);
+  GraphSystem sys(std::move(cfg));
+  const Duration slice = sys.config().duration / 300;
+  double read = 0.0;
+  for (int k = 1; k <= 300; ++k) {
+    sys.run_until(k == 300 ? Time::origin() + sys.config().duration
+                           : Time::origin() + slice * k);
+    for (std::size_t i = 0; i < sys.flat_count(); ++i) {
+      cpu::VmCpu* vm = sys.vm_flat(i);
+      read += vm->busy_core_seconds() + vm->demand_seconds() + vm->stalled_seconds();
+    }
+  }
+  EXPECT_GT(read, 0.0);
+  EXPECT_EQ(sys.simulation().events_executed(), 293856u);
+  EXPECT_EQ(sys.latency().vlrt_count(), 293u);
+}
+
 TEST(FanIn, BarrierJoinsParallelBranchesUnderTracing) {
   GraphConfig cfg = parse_topology(kDiamondText);
   cfg.duration = Duration::seconds(5);
@@ -306,8 +366,8 @@ TEST(FanIn, BarrierJoinsParallelBranchesUnderTracing) {
     const trace::Span* ads = nullptr;
     for (const auto& s : tr->spans()) {
       if (s.kind != trace::SpanKind::kDownstream) continue;
-      if (s.site == "front->catalog") cat = &s;
-      if (s.site == "front->ads") ads = &s;
+      if (s.site.view() == "front->catalog") cat = &s;
+      if (s.site.view() == "front->ads") ads = &s;
     }
     ASSERT_NE(cat, nullptr);
     ASSERT_NE(ads, nullptr);

@@ -4,11 +4,9 @@
 // touching the global allocator (docs/PERFORMANCE.md).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.h"
 #include "cpu/host_core.h"
 #include "helpers.h"
 #include "net/rto_policy.h"
@@ -18,75 +16,6 @@
 #include "sim/simulation.h"
 #include "sim/slab_pool.h"
 #include "workload/client.h"
-
-// Global operator new/delete counting hooks. They are process-wide, but
-// each gtest case runs in its own ctest process, and every other test in
-// this binary only pays two relaxed increments per allocation.
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-std::atomic<std::uint64_t> g_deletes{0};
-
-std::uint64_t news() { return g_news.load(std::memory_order_relaxed); }
-std::uint64_t deletes() { return g_deletes.load(std::memory_order_relaxed); }
-
-void* counted_alloc_nothrow(std::size_t n) noexcept {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-
-void* counted_alloc(std::size_t n) {
-  if (void* p = counted_alloc_nothrow(n)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_alloc_aligned(std::size_t n, std::align_val_t al) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-
-void counted_free(void* p) noexcept {
-  g_deletes.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-}  // namespace
-
-// Every replaceable form must be covered, or a library allocation can
-// pair one allocator's new with the other's delete (stable_sort's
-// temporary buffer uses the nothrow form; ASan flags the mismatch).
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc_nothrow(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc_nothrow(n);
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  return counted_alloc_aligned(n, al);
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return counted_alloc_aligned(n, al);
-}
-void* operator new(std::size_t n, std::align_val_t al, const std::nothrow_t&) noexcept {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  return std::aligned_alloc(a, (n + a - 1) / a * a);
-}
-void* operator new[](std::size_t n, std::align_val_t al, const std::nothrow_t& t) noexcept {
-  return operator new(n, al, t);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 namespace ntier {
 namespace {
@@ -159,22 +88,22 @@ TEST(SlabPool, GenerationCheckCatchesStaleHandles) {
 TEST(SlabPool, WarmedPoolServesMakeReleaseCyclesWithoutAllocating) {
   sim::SlabPool<int> pool;
   (void)pool.make(0);  // grows the first slab
-  const std::uint64_t n0 = news();
-  const std::uint64_t d0 = deletes();
+  const std::uint64_t n0 = test::allocations();
+  const std::uint64_t d0 = test::deallocations();
   for (int i = 0; i < 10000; ++i) {
     auto r = pool.make(i);
     auto copy = r;
     copy.reset();
     r.reset();
   }
-  EXPECT_EQ(news() - n0, 0u);
-  EXPECT_EQ(deletes() - d0, 0u);
+  EXPECT_EQ(test::allocations() - n0, 0u);
+  EXPECT_EQ(test::deallocations() - d0, 0u);
 }
 
 // --- InlineFn ------------------------------------------------------------
 
 TEST(InlineFn, StoresCallablesInlineAndNeverAllocates) {
-  const std::uint64_t n0 = news();
+  const std::uint64_t n0 = test::allocations();
   int hits = 0;
   sim::InlineFn<void()> f([&hits] { ++hits; });
   f();
@@ -183,7 +112,7 @@ TEST(InlineFn, StoresCallablesInlineAndNeverAllocates) {
   sim::InlineFn<void()> h = g;  // copyable (the event-queue heap copies)
   h();
   EXPECT_EQ(hits, 3);
-  EXPECT_EQ(news() - n0, 0u);
+  EXPECT_EQ(test::allocations() - n0, 0u);
 }
 
 TEST(InlineFn, CapacityFitsTheDocumentedCaptureBudget) {
@@ -225,16 +154,16 @@ TEST(HotPath, SteadyStateEventsDoZeroAllocations) {
   // scratch vectors reach steady capacity.
   sim.run_until(Time::from_seconds(2.0));
   const std::uint64_t warm_events = sim.events_executed();
-  const std::uint64_t n0 = news();
-  const std::uint64_t d0 = deletes();
+  const std::uint64_t n0 = test::allocations();
+  const std::uint64_t d0 = test::deallocations();
 
   sim.run_until(Time::from_seconds(2.5));
 
   const std::uint64_t measured = sim.events_executed() - warm_events;
   EXPECT_GE(measured, 10000u);
   EXPECT_GT(clients.completed(), 0u);
-  EXPECT_EQ(news() - n0, 0u) << "steady-state events allocated";
-  EXPECT_EQ(deletes() - d0, 0u) << "steady-state events freed";
+  EXPECT_EQ(test::allocations() - n0, 0u) << "steady-state events allocated";
+  EXPECT_EQ(test::deallocations() - d0, 0u) << "steady-state events freed";
 }
 
 TEST(HotPath, WarmedWheelSchedulesCancelsAndCascadesWithoutAllocating) {
@@ -282,15 +211,15 @@ TEST(HotPath, WarmedWheelSchedulesCancelsAndCascadesWithoutAllocating) {
   };
 
   churn(64);  // warm-up: grow slot table, heap, and batch scratch
-  const std::uint64_t n0 = news();
-  const std::uint64_t d0 = deletes();
+  const std::uint64_t n0 = test::allocations();
+  const std::uint64_t d0 = test::deallocations();
   const std::uint64_t ran0 = ran;
 
   churn(64);  // measured: identical op mix on warmed storage
 
   EXPECT_GT(ran - ran0, 1000u);
-  EXPECT_EQ(news() - n0, 0u) << "warmed wheel allocated";
-  EXPECT_EQ(deletes() - d0, 0u) << "warmed wheel freed";
+  EXPECT_EQ(test::allocations() - n0, 0u) << "warmed wheel allocated";
+  EXPECT_EQ(test::deallocations() - d0, 0u) << "warmed wheel freed";
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST(DefaultSuite, BindsEveryGroupSignalPlusVlrtBurnRate) {
 // unclosed (request still in flight when the run ends).
 trace::TracePtr make_trace(std::uint64_t id, double begin_s, double end_s) {
   trace::TracePtr t = trace::trace_pool().make(id);
-  const std::uint64_t root = t->open(trace::SpanKind::kRequest, "client",
+  const std::uint64_t root = t->open(trace::SpanKind::kRequest, trace::intern_site("client"),
                                      trace::kNoSpan, Time::from_seconds(begin_s));
   if (end_s >= 0.0) t->close(root, Time::from_seconds(end_s));
   return t;

@@ -1,7 +1,8 @@
 // Tests of the per-request tracing layer: span-tree well-formedness,
 // RTO-gap attribution, critical-path exactness, sampling modes, the
 // determinism / non-perturbation guarantees (DESIGN.md invariant 10),
-// and byte identity of the exporters against a printf reference.
+// byte identity of the exporters against a printf reference, the site
+// intern table, and what recording and exporting allocate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +13,10 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "core/ctqo_analyzer.h"
 #include "core/experiment.h"
 #include "core/scenarios.h"
@@ -29,6 +32,7 @@ namespace {
 
 using sim::Duration;
 using sim::Time;
+using trace::intern_site;
 using trace::RequestTrace;
 using trace::SpanKind;
 
@@ -36,10 +40,10 @@ using trace::SpanKind;
 
 TEST(RequestTrace, IdsAreAllocationOrderAndCloseIsIdempotent) {
   RequestTrace t(7);
-  const auto root = t.open(SpanKind::kRequest, "client", trace::kNoSpan,
-                           Time::from_seconds(0.0));
-  const auto hop =
-      t.open(SpanKind::kHop, "apache", root, Time::from_seconds(0.001));
+  const auto root = t.open(SpanKind::kRequest, intern_site("client"),
+                           trace::kNoSpan, Time::from_seconds(0.0));
+  const auto hop = t.open(SpanKind::kHop, intern_site("apache"), root,
+                          Time::from_seconds(0.001));
   EXPECT_EQ(root, 0u);
   EXPECT_EQ(hop, 1u);
   EXPECT_EQ(t.spans()[hop].parent, root);
@@ -48,10 +52,89 @@ TEST(RequestTrace, IdsAreAllocationOrderAndCloseIsIdempotent) {
   EXPECT_EQ(t.spans()[hop].end, Time::from_seconds(0.005));
   t.close(root, Time::from_seconds(0.006));
   EXPECT_EQ(t.total(), Duration::millis(6));
-  const auto drop = t.instant(SpanKind::kDrop, "mysql", hop,
+  const auto drop = t.instant(SpanKind::kDrop, intern_site("mysql"), hop,
                               Time::from_seconds(0.002), /*detail=*/0);
   EXPECT_TRUE(t.spans()[drop].closed());
   EXPECT_EQ(t.spans()[drop].duration(), Duration::zero());
+}
+
+TEST(RequestTrace, OpenAllocatesNothingWhileTheVectorHasRoom) {
+  const trace::Site client = intern_site("client");
+  const trace::Site hop = intern_site("apache");
+  RequestTrace t(1);
+  const auto& spans = t.spans();
+  std::size_t grew = 0;
+  for (int i = 0; i < 100; ++i) {
+    const bool room = spans.size() < spans.capacity();
+    const std::uint64_t n0 = test::allocations();
+    if (i == 0) {
+      t.open(SpanKind::kRequest, client, trace::kNoSpan, Time::from_micros(0));
+    } else if (i % 3 == 0) {
+      t.instant(SpanKind::kDrop, hop, 0, Time::from_micros(i));
+    } else {
+      t.add(SpanKind::kService, hop, 0, Time::from_micros(i), Time::from_micros(i + 1));
+    }
+    const std::uint64_t made = test::allocations() - n0;
+    if (room) {
+      EXPECT_EQ(made, 0u) << "span " << i;
+    } else {
+      EXPECT_EQ(made, 1u) << "span " << i;  // the vector's own regrowth
+      ++grew;
+    }
+  }
+  EXPECT_EQ(spans.size(), 100u);
+  EXPECT_LE(grew, 8u);
+}
+
+TEST(SiteTable, InterningIsStableAndSharedAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kNames = 200;
+  // Every thread interns the same kNames shared names (each starting at
+  // a different offset, so threads collide on fresh names) and kNames of
+  // its own, several rounds over.
+  struct Seen {
+    std::vector<trace::Site> shared, own;
+    std::vector<const char*> shared_data;
+  };
+  std::vector<Seen> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &out = seen[t]] {
+      out.shared.resize(kNames);
+      out.shared_data.resize(kNames);
+      out.own.resize(kNames);
+      for (int round = 0; round < 3; ++round) {
+        for (int k = 0; k < kNames; ++k) {
+          const int i = (k + t * kNames / kThreads) % kNames;
+          const trace::Site s = intern_site("svc" + std::to_string(i) + "->db");
+          if (round > 0) {
+            EXPECT_TRUE(s == out.shared[i]);
+          }
+          out.shared[i] = s;
+          if (round == 0) out.shared_data[i] = s.view().data();
+          out.own[k] = intern_site("t" + std::to_string(t) + ":" + std::to_string(k));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::set<const char*> distinct;
+  for (int i = 0; i < kNames; ++i) {
+    const std::string name = "svc" + std::to_string(i) + "->db";
+    const trace::Site main = intern_site(name);
+    EXPECT_EQ(main.view(), name);
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_TRUE(seen[t].shared[i] == main) << name << " thread " << t;
+      EXPECT_EQ(seen[t].shared_data[i], main.view().data()) << "moved: " << name;
+      EXPECT_EQ(seen[t].own[i].view(), "t" + std::to_string(t) + ":" + std::to_string(i));
+      distinct.insert(seen[t].own[i].view().data());
+    }
+    distinct.insert(main.view().data());
+  }
+  EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kNames * (kThreads + 1)));
+  EXPECT_TRUE(intern_site("") == trace::Site());
+  EXPECT_EQ(trace::Site().view(), "");
 }
 
 TEST(Tracer, OffModeTracesNothing) {
@@ -81,7 +164,8 @@ TEST(Tracer, MaxTracesCapDropsButCounts) {
   for (std::uint64_t id = 1; id <= 5; ++id) {
     auto t = tracer.begin(id);
     ASSERT_NE(t, nullptr);
-    t->open(SpanKind::kRequest, "client", trace::kNoSpan, Time::from_seconds(0));
+    t->open(SpanKind::kRequest, intern_site("client"), trace::kNoSpan,
+            Time::from_seconds(0));
     t->close(0, Time::from_seconds(1));
     tracer.finish(t, Duration::seconds(1));
   }
@@ -91,14 +175,15 @@ TEST(Tracer, MaxTracesCapDropsButCounts) {
 
 TEST(CriticalPath, ChargesEveryMicrosecondExactlyOnce) {
   RequestTrace t(1);
-  const auto root =
-      t.open(SpanKind::kRequest, "client", trace::kNoSpan, Time::from_micros(0));
-  const auto hop = t.open(SpanKind::kHop, "apache", root, Time::from_micros(10));
-  t.add(SpanKind::kService, "apache", hop, Time::from_micros(20),
+  const auto root = t.open(SpanKind::kRequest, intern_site("client"),
+                           trace::kNoSpan, Time::from_micros(0));
+  const auto hop =
+      t.open(SpanKind::kHop, intern_site("apache"), root, Time::from_micros(10));
+  t.add(SpanKind::kService, intern_site("apache"), hop, Time::from_micros(20),
         Time::from_micros(50));
   // Overlapping sibling (hedge-style): overlap is charged to the earlier
   // span, the later one takes over after it ends.
-  t.add(SpanKind::kDisk, "apache", hop, Time::from_micros(40),
+  t.add(SpanKind::kDisk, intern_site("apache"), hop, Time::from_micros(40),
         Time::from_micros(70));
   t.close(hop, Time::from_micros(90));
   t.close(root, Time::from_micros(100));
@@ -179,9 +264,11 @@ std::string ref_chrome_trace_json(const trace::TraceList& traces) {
         ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
         "\"tid\":%" PRIu64 ",\"args\":{\"name\":\"request %" PRIu64 "\"}}",
         rid, rid);
-    for (const trace::Span& s : t->spans()) {
-      const std::string name =
-          std::string(trace::to_string(s.kind)) + " " + ref_json_escape(s.site);
+    const auto& spans = t->spans();
+    for (std::uint64_t id = 0; id < spans.size(); ++id) {
+      const trace::Span& s = spans[id];
+      const std::string name = std::string(trace::to_string(s.kind)) + " " +
+                               ref_json_escape(std::string(s.site.view()));
       const std::int64_t ts = s.begin.count_micros();
       const std::int64_t dur = s.duration().count_micros();
       if (s.closed() && dur > 0) {
@@ -190,7 +277,7 @@ std::string ref_chrome_trace_json(const trace::TraceList& traces) {
             ",\"dur\":%" PRId64 ",\"pid\":1,\"tid\":%" PRIu64
             ",\"args\":{\"span\":%" PRIu64 ",\"parent\":%" PRId64
             ",\"detail\":%d}}",
-            name.c_str(), trace::to_string(s.kind), ts, dur, rid, s.id,
+            name.c_str(), trace::to_string(s.kind), ts, dur, rid, id,
             ref_parent(s), s.detail);
       } else {
         out += ref_format(
@@ -198,7 +285,7 @@ std::string ref_chrome_trace_json(const trace::TraceList& traces) {
             ",\"s\":\"t\",\"pid\":1,\"tid\":%" PRIu64
             ",\"args\":{\"span\":%" PRIu64 ",\"parent\":%" PRId64
             ",\"detail\":%d,\"closed\":%s}}",
-            name.c_str(), trace::to_string(s.kind), ts, rid, s.id,
+            name.c_str(), trace::to_string(s.kind), ts, rid, id,
             ref_parent(s), s.detail, s.closed() ? "true" : "false");
       }
     }
@@ -213,12 +300,15 @@ std::string ref_spans_csv(const trace::TraceList& traces) {
       "detail,closed\n";
   for (const auto& t : traces) {
     if (!t) continue;
-    for (const trace::Span& s : t->spans()) {
+    const auto& spans = t->spans();
+    for (std::uint64_t id = 0; id < spans.size(); ++id) {
+      const trace::Span& s = spans[id];
       out += ref_format("%" PRIu64 ",%" PRIu64 ",%" PRId64 ",%s,%s,%" PRId64
                         ",%" PRId64 ",%" PRId64 ",%d,%d\n",
-                        t->request_id(), s.id, ref_parent(s),
+                        t->request_id(), id, ref_parent(s),
                         trace::to_string(s.kind),
-                        ref_csv_field(s.site).c_str(), s.begin.count_micros(),
+                        ref_csv_field(std::string(s.site.view())).c_str(),
+                        s.begin.count_micros(),
                         s.end.count_micros(), s.duration().count_micros(),
                         s.detail, s.closed() ? 1 : 0);
     }
@@ -392,20 +482,21 @@ std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
 trace::TracePtr every_shape_trace(std::uint64_t id,
                                   const std::vector<std::string>& sites) {
   trace::TracePtr t = trace::trace_pool().make(id);
-  const auto root = t->open(SpanKind::kRequest, "client", trace::kNoSpan,
-                            Time::from_micros(1000));
-  const auto hop = t->add(SpanKind::kHop, "apache", root, Time::from_micros(1010),
-                          Time::from_micros(4500), /*detail=*/7);
-  t->add(SpanKind::kRtoGap, "client->apache", root, Time::from_micros(1000),
-         Time::from_micros(3001000), /*detail=*/1);
-  t->instant(SpanKind::kDrop, "apache", hop, Time::from_micros(1020),
+  const auto root = t->open(SpanKind::kRequest, intern_site("client"),
+                            trace::kNoSpan, Time::from_micros(1000));
+  const auto hop = t->add(SpanKind::kHop, intern_site("apache"), root,
+                          Time::from_micros(1010), Time::from_micros(4500),
+                          /*detail=*/7);
+  t->add(SpanKind::kRtoGap, intern_site("client->apache"), root,
+         Time::from_micros(1000), Time::from_micros(3001000), /*detail=*/1);
+  t->instant(SpanKind::kDrop, intern_site("apache"), hop, Time::from_micros(1020),
              /*detail=*/2);
-  t->add(SpanKind::kService, "apache", hop, Time::from_micros(2000),
+  t->add(SpanKind::kService, intern_site("apache"), hop, Time::from_micros(2000),
          Time::from_micros(2000));  // closed, zero length
-  t->open(SpanKind::kDownstream, "apache->tomcat", hop,
+  t->open(SpanKind::kDownstream, intern_site("apache->tomcat"), hop,
           Time::from_micros(2500));  // never closed
   for (const auto& site : sites)
-    t->add(SpanKind::kPoolQueue, site, hop, Time::from_micros(3000),
+    t->add(SpanKind::kPoolQueue, intern_site(site), hop, Time::from_micros(3000),
            Time::from_micros(3100), /*detail=*/-3);
   t->close(root, Time::from_micros(9000));
   return t;
@@ -515,14 +606,13 @@ TEST(TraceSystem, SpanTreesAreWellFormedAcrossThreeTiers) {
     std::set<std::string> hops;
     for (std::size_t i = 0; i < spans.size(); ++i) {
       const auto& s = spans[i];
-      EXPECT_EQ(s.id, i);
       if (i == 0) continue;
       ASSERT_LT(s.parent, i) << "parents precede children";
       EXPECT_GE(s.begin, spans.front().begin);
       if (s.closed()) {
         EXPECT_GE(s.end, s.begin);
       }
-      if (s.kind == SpanKind::kHop) hops.insert(s.site);
+      if (s.kind == SpanKind::kHop) hops.insert(std::string(s.site.view()));
     }
     if (hops.count("apache") && hops.count("tomcat") && hops.count("mysql"))
       saw_three_tier_chain = true;
@@ -620,6 +710,19 @@ TEST(TraceSystem, GraphExportsMatchPrintfReference) {
   const auto sys = traced_diamond("catalog");
   ASSERT_GT(sys->total_drops(), 0u);
   expect_matches_reference(sys->tracer()->traces());
+}
+
+TEST(TraceSystem, EachExportIsOneExactSizeAllocation) {
+  const auto sys = traced_diamond("catalog");
+  const auto& traces = sys->tracer()->traces();
+  std::uint64_t n0 = test::allocations();
+  const std::string json = trace::chrome_trace_json(traces);
+  EXPECT_EQ(test::allocations() - n0, 1u);
+  n0 = test::allocations();
+  const std::string csv = trace::spans_csv(traces);
+  EXPECT_EQ(test::allocations() - n0, 1u);
+  EXPECT_GT(json.size(), 1000000u);
+  EXPECT_GT(csv.size(), 1000000u);
 }
 
 TEST(TraceSystem, CommaInANodeNameKeepsTenCsvFields) {
