@@ -12,49 +12,40 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/chain.h"
 #include "core/experiment.h"
 #include "core/scenarios.h"
+#include "graph/graph_system.h"
+#include "graph/topology.h"
 #include "metrics/table.h"
 #include "server/sync_server.h"
 
 using namespace ntier;
 using sim::Duration;
-using sim::Time;
 
 namespace {
 
 enum class Style { kSync, kStaged, kAsync };
 
-core::ChainConfig chain_of(Style style) {
-  core::ChainConfig cfg;
-  cfg.name = style == Style::kSync    ? "alt-sync"
-             : style == Style::kStaged ? "alt-staged"
-                                       : "alt-async";
-  auto tier = [&](std::string name, std::size_t threads, auto fn) {
-    core::ChainTierSpec t;
-    t.name = std::move(name);
-    t.async = style == Style::kAsync;
-    t.staged = style == Style::kStaged;
-    t.sync.threads_per_process = threads;
-    t.sync.max_processes = 1;
-    t.staged_cfg.ingress.queue_cap = 1000;
-    t.program_fn = fn;
-    return t;
-  };
-  cfg.tiers.push_back(tier("web", 150, core::relay_fn(Duration::micros(60),
-                                                      Duration::micros(40))));
-  cfg.tiers.push_back(tier("app", 150, core::relay_fn(Duration::micros(150),
-                                                      Duration::micros(600))));
-  cfg.tiers.push_back(tier("db", 100, core::leaf_fn(Duration::micros(400))));
-  cfg.workload.sessions = 7000;
-  cfg.duration = Duration::seconds(40);
-  cfg.freeze_tier = 1;
-  cfg.freeze.first = Time::from_seconds(8);
-  cfg.freeze.period = Duration::seconds(12);
-  // Long enough (~1.5 s x ~1000 req/s) to overflow the staged tier's
-  // 1000-slot stage queue too, exposing the full bound gradient.
-  cfg.freeze.pause = Duration::millis(1500);
+graph::GraphConfig chain_of(Style style) {
+  const std::string kind = style == Style::kSync     ? "sync"
+                           : style == Style::kStaged ? "staged"
+                                                     : "async";
+  // The freeze is long enough (~1.5 s x ~1000 req/s) to overflow the
+  // staged tier's 1000-slot stage queue too, exposing the full bound
+  // gradient.
+  auto cfg = graph::parse_topology(
+      "graph alt-" + kind + "\n"
+      "sessions 7000\n"
+      "duration 40s\n"
+      "node web kind=" + kind + " threads=150 work=cpu:60us,down,cpu:40us\n"
+      "node app kind=" + kind + " threads=150 work=cpu:150us,down,cpu:600us\n"
+      "node db kind=" + kind + " threads=100 work=cpu:400us\n"
+      "edge web app\n"
+      "edge app db\n"
+      "freeze app first=8s period=12s pause=1500ms\n");
+  // Only the ingress stage is bounded (the grammar's stage_queue would
+  // bound the continuation stage too).
+  for (auto& node : cfg.nodes) node.staged_cfg.ingress.queue_cap = 1000;
   return cfg;
 }
 
@@ -64,15 +55,17 @@ void part_a(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
   for (auto [style, name] : {std::pair{Style::kSync, "thread-per-request"},
                              std::pair{Style::kStaged, "SEDA staged (q=1000)"},
                              std::pair{Style::kAsync, "event-driven"}}) {
-    auto ccfg = chain_of(style);
-    ccfg.obs = tf.obs;
-    core::ChainSystem sys(std::move(ccfg));
+    auto gcfg = chain_of(style);
+    gcfg.trace = tf.config;
+    gcfg.obs = tf.obs;
+    graph::GraphSystem sys(std::move(gcfg));
     sys.run();
-    t.add_row({name, metrics::Table::num(std::uint64_t{sys.tier(0)->max_sys_q_depth()}),
+    t.add_row({name, metrics::Table::num(std::uint64_t{sys.server_flat(0)->max_sys_q_depth()}),
                metrics::Table::num(sys.total_drops()),
                metrics::Table::num(sys.latency().vlrt_count()),
                metrics::Table::num(sys.latency().histogram().percentile(99.9).to_millis(), 0)});
     bench::finalize_incidents(sys);
+    bench::export_traces(sys, tf);
     bench::maybe_dashboard(sys, tf);
     perf.add_events(sys.simulation().events_executed());
   }
@@ -91,6 +84,7 @@ void part_b(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
     auto cfg = core::scenarios::fig3_consolidation_sync();
     cfg.name = shed ? "altb-shed" : "altb-drop";
     cfg.system.web_shed_on_overload = shed;
+    cfg.trace = tf.config;
     cfg.obs = tf.obs;
     auto sys = core::run_system(cfg);
     auto s = core::summarize(*sys);
@@ -102,6 +96,7 @@ void part_b(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
                metrics::Table::num(s.latency.vlrt_count),
                metrics::Table::num(s.throughput_rps, 0)});
     bench::finalize_incidents(*sys);
+    bench::export_traces(*sys, tf);
     bench::maybe_dashboard(*sys, tf);
     perf.add_events(sys->simulation().events_executed());
   }
@@ -118,6 +113,7 @@ void part_c(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
     auto cfg = core::scenarios::fig3_consolidation_sync();
     cfg.name = std::string("altc-timeout-") + label;
     cfg.workload.client_timeout = timeout;
+    cfg.trace = tf.config;
     cfg.obs = tf.obs;
     auto sys = core::run_system(cfg);
     t.add_row({label, metrics::Table::num(sys->latency().vlrt_count()),
@@ -125,6 +121,7 @@ void part_c(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
                metrics::Table::num(sys->clients().failed()),
                metrics::Table::num(sys->latency().histogram().percentile(99.9).to_millis(), 0)});
     bench::finalize_incidents(*sys);
+    bench::export_traces(*sys, tf);
     bench::maybe_dashboard(*sys, tf);
     perf.add_events(sys->simulation().events_executed());
   }

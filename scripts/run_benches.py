@@ -12,9 +12,8 @@ engine-throughput record (BENCH_ntier.json, uploaded as a CI artifact).
 Schema ntier.bench/5 adds the service-graph study
 (ext_graph_topologies) to the roster and a top-level "graph" section
 scraped from its machine-readable `[graph]` lines: the diamond CTQO
-verdict, the deep-chain drop counts, the hedging-crossover operating
-points, and the chain-equivalence match bit (the byte-identity contract
-of docs/TOPOLOGY.md). Schema ntier.bench/6 adds the online-detection
+verdict, the deep-chain drop counts, and the hedging-crossover operating
+points. Schema ntier.bench/6 adds the online-detection
 study (ext_incident_detection) and a top-level "obs" section scraped
 from its `[obs]` lines: detection latency vs. the first VLRT,
 precision/recall against the offline CTQO episodes, the retroactive
@@ -29,7 +28,11 @@ pulled out as their own pass/fail. Schema ntier.bench/8 adds the
 (bench/micro_engine.cc): dense self-rescheduling timer throughput of
 the wheel vs. the indexed-heap predecessor (wheel_over_heap_dense
 speedup), the wheel's cancel-heavy churn rate, and the beyond-horizon
-FarTimer fallback rate. Discovery is automatic, so the schema tag is
+FarTimer fallback rate. Schema ntier.bench/9 drops the graph section's
+chain-equivalence bit (the second chain builder it compared against is
+gone; a recorded fingerprint test pins the chain path instead) and keys
+the section on the diamond's upstream CTQO verdict and the deep chain's
+is_chain=1 routing. Discovery is automatic, so the schema tag is
 the record that the roster — and therefore the totals — changed.
 
 The report also carries three microbench sections:
@@ -388,24 +391,29 @@ def main() -> int:
             print(f"  FAILED: {hotpath['error']}")
 
     # The service-graph study section: every [graph] record from
-    # ext_graph_topologies, plus the chain-equivalence bit pulled out as
-    # its own pass/fail (the byte-identity contract, docs/TOPOLOGY.md).
+    # ext_graph_topologies, plus its two headline facts pulled out as
+    # their own pass/fail: the diamond's CTQO is classified upstream, and
+    # the grammar-written deep chain takes the chain wiring (is_chain=1).
     graph = None
     for r in results:
         if r.get("name") == "ext_graph_topologies" and r.get("ok"):
             records = r.pop("graph", [])
-            eq = next((g for g in records
-                       if g.get("section") == "chain_equivalence"), None)
+            diamond = next((g for g in records
+                            if g.get("section") == "diamond"), {})
+            deep = next((g for g in records
+                         if g.get("section") == "deep_chain"), {})
             graph = {
-                "ok": bool(eq) and eq.get("match") == 1,
-                "chain_equivalence_match": (eq or {}).get("match", 0),
+                "ok": (diamond.get("verdict") == "upstream"
+                       and deep.get("is_chain") == 1),
+                "diamond_verdict": diamond.get("verdict", "missing"),
+                "deep_chain_is_chain": deep.get("is_chain", 0),
                 "records": records,
             }
             if graph["ok"]:
-                print(f"  graph: {len(records)} study records, "
-                      f"chain equivalence byte-identical ({eq.get('bytes')} bytes)")
+                print(f"  graph: {len(records)} study records, diamond "
+                      "verdict upstream, deep chain on the chain wiring")
             else:
-                print("  graph: FAILED chain-equivalence check")
+                print("  graph: FAILED diamond-verdict / is_chain check")
 
     # The online-detection study section: every [obs] record from
     # ext_incident_detection, plus the online-vs-offline agreement
@@ -448,7 +456,7 @@ def main() -> int:
 
     ok = [r for r in results if r["ok"]]
     report = {
-        "schema": "ntier.bench/8",
+        "schema": "ntier.bench/9",
         "benches": results,
         "graph": graph,
         "obs": obs,
@@ -467,7 +475,7 @@ def main() -> int:
     if hotpath is not None and not hotpath["ok"]:
         report["failed"].append("micro_hotpath")
     if graph is not None and not graph["ok"]:
-        report["failed"].append("graph-chain-equivalence")
+        report["failed"].append("graph-headline-verdicts")
     if obs is not None and not obs["ok"]:
         report["failed"].append("obs-online-agreement")
     if proto is not None and not proto["ok"]:

@@ -50,7 +50,6 @@
 namespace ntier::core {
 
 class NTierSystem;
-class ChainSystem;
 
 // One lag-swept correlation: source leads target by `lag_windows`.
 struct LagCorrelation {
@@ -141,7 +140,6 @@ struct CorrelateOptions {
 // Signal extraction (no analysis): names every per-tier saturation/queue/
 // drop series the systems publish, in tier order.
 SignalSet collect_signals(const NTierSystem& sys);
-SignalSet collect_signals(const ChainSystem& sys);
 
 // Adapts a SignalSet into the obs detector suite's per-tier series
 // groups — the same series the offline engine correlates are what the
@@ -156,8 +154,6 @@ CorrelationReport correlate_signals(const SignalSet& s,
 
 // Convenience wrappers.
 CorrelationReport correlate(const NTierSystem& sys,
-                            CorrelateOptions opt = CorrelateOptions());
-CorrelationReport correlate(const ChainSystem& sys,
                             CorrelateOptions opt = CorrelateOptions());
 
 }  // namespace ntier::core

@@ -135,31 +135,6 @@ std::string run_manifest_json(const NTierSystem& sys, const CtqoReport* ctqo,
   return out;
 }
 
-std::string run_manifest_json(const ChainSystem& sys, const CtqoReport* ctqo,
-                              const obs::IncidentSummary* incidents) {
-  const auto& cfg = sys.config();
-  std::string out = "{\n  \"schema\": \"ntier.run-manifest/1\",\n  \"kind\": \"chain\",\n";
-  out += "  \"name\": ";
-  append_escaped(out, cfg.name);
-  out += ",\n  \"seed\": ";
-  append_u64(out, cfg.seed);
-  out += ",\n  \"duration_s\": ";
-  append_num(out, cfg.duration.to_seconds());
-  out += ",\n  \"sample_window_ms\": ";
-  append_num(out, cfg.sample_window.to_millis());
-  out += ",\n  \"sessions\": ";
-  append_u64(out, cfg.workload.sessions);
-  out += ",\n  \"tiers\": [";
-  for (std::size_t i = 0; i < sys.tier_count(); ++i) {
-    if (i > 0) out += ", ";
-    append_escaped(out, sys.tier(i)->name());
-  }
-  out += "],\n";
-  append_common(out, sys.latency(), sys.total_drops(),
-                sys.simulation().events_executed(), sys.registry(), ctqo, incidents);
-  return out;
-}
-
 std::string run_manifest_json(const ManifestRun& run, const CtqoReport* ctqo,
                               const obs::IncidentSummary* incidents) {
   std::string out = "{\n  \"schema\": \"ntier.run-manifest/1\",\n  \"kind\": ";
@@ -186,11 +161,6 @@ std::string run_manifest_json(const ManifestRun& run, const CtqoReport* ctqo,
 }
 
 std::string write_manifest(const NTierSystem& sys, const std::string& dir,
-                           const CtqoReport* ctqo, const obs::IncidentSummary* incidents) {
-  return write_to(run_manifest_json(sys, ctqo, incidents), dir, sys.config().name);
-}
-
-std::string write_manifest(const ChainSystem& sys, const std::string& dir,
                            const CtqoReport* ctqo, const obs::IncidentSummary* incidents) {
   return write_to(run_manifest_json(sys, ctqo, incidents), dir, sys.config().name);
 }

@@ -48,8 +48,7 @@ GraphSystem::GraphSystem(GraphConfig cfg)
     }
   }
 
-  // Components, node-major replica-minor — the same construction order
-  // as ChainSystem when the graph is a chain (one replica per node).
+  // Components, node-major replica-minor (front to back for a chain).
   for (std::size_t i = 0; i < n; ++i) {
     const NodeSpec& spec = cfg_.nodes[i];
     flat_base_.push_back(servers_.size());
@@ -95,9 +94,9 @@ GraphSystem::GraphSystem(GraphConfig cfg)
     }
   }
 
-  // Wiring. The chain path is the ChainSystem fast path: no balancers,
-  // no extra RNG forks, connect_downstream in front-to-back order —
-  // byte-identical artifacts per the chain-equivalence contract.
+  // Wiring. The chain path: no balancers, no extra RNG forks,
+  // connect_downstream in front-to-back order — its artifacts are
+  // pinned by the recorded chain fingerprint (docs/TOPOLOGY.md).
   net::Link link{cfg_.link_latency};
   if (chain) {
     for (std::size_t i = 0; i + 1 < n; ++i)
@@ -154,7 +153,6 @@ GraphSystem::GraphSystem(GraphConfig cfg)
   cc.mean_think = w.mean_think;
   cc.rto = w.client_rto;
   cc.link = net::Link{w.client_link};
-  cc.trace_requests = w.trace_requests;
   cc.measure_from = w.measure_from;
   cc.timeout = w.client_timeout;
   cc.policy = w.client_policy;

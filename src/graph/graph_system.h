@@ -4,11 +4,10 @@
 // replica-group balancers, clients, and monitors for one run of a
 // GraphConfig. Construction wires everything; run() drives.
 //
-// Wiring takes one of two paths (the chain-equivalence contract,
-// docs/TOPOLOGY.md):
-//  - chain-shaped configs (is_chain) use connect_downstream with the
-//    exact ChainSystem construction order and RNG fork schedule, so the
-//    run is byte-identical to the equivalent ChainConfig;
+// Wiring takes one of two paths (docs/TOPOLOGY.md):
+//  - chain-shaped configs (is_chain) use connect_downstream front to
+//    back with no balancers and no extra RNG forks; a recorded
+//    fingerprint in the tests pins the artifacts of this path;
 //  - general DAGs build one shared ReplicaGroup per node and add one
 //    fan-out Route per (sender replica, out-edge); a kDownstream step
 //    then contacts every out-edge in parallel and the reply resumes at
@@ -81,8 +80,8 @@ class GraphSystem {
   const cpu::VmCpu* vm_flat(std::size_t i) const { return vms_.at(i); }
   cpu::IoDevice* disk_flat(std::size_t i) { return disks_.at(i).get(); }
   const cpu::IoDevice* disk_flat(std::size_t i) const { return disks_.at(i).get(); }
-  // The node's shared balancer; null on the chain-equivalence path
-  // (chains have no balancers).
+  // The node's shared balancer; null on the chain path (chains have no
+  // balancers).
   ReplicaGroup* group(std::size_t node) {
     return groups_.empty() ? nullptr : groups_.at(node).get();
   }
@@ -138,7 +137,7 @@ class GraphSystem {
   bool started_ = false;
 };
 
-// CTQO analysis over a graph (same episode semantics as the chain
+// CTQO analysis over a graph (same episode semantics as the 3-tier
 // analyzer; tier indices are flat replica indices, front node first).
 core::CtqoReport analyze_ctqo(GraphSystem& sys,
                               core::AnalyzerOptions opt = core::AnalyzerOptions());
@@ -160,7 +159,7 @@ std::string write_manifest(const GraphSystem& sys, const std::string& dir,
                            const obs::IncidentSummary* incidents = nullptr);
 
 // Builds and runs cfg.duration after validating; the system stays alive
-// for inspection (mirrors run_chain for chain topologies).
+// for inspection (mirrors core::run_system for the 3-tier testbed).
 std::unique_ptr<GraphSystem> run_graph(const GraphConfig& cfg);
 
 }  // namespace ntier::graph

@@ -62,7 +62,7 @@ struct ObsConfig {
 };
 
 // Non-owning pointers to the run's collectors; all must outlive the
-// monitor. `tracer` may be null (ChainSystem has none): detection and
+// monitor. `tracer` may be null (tracing off): detection and
 // timeline capture still run, only span capture is skipped.
 struct Bindings {
   monitor::Sampler* sampler = nullptr;       // required

@@ -125,7 +125,6 @@ bool Server::offer(Job job) {
     // unacked packet as a full accept queue — it retransmits per its RTO.
     note_offer();
     ++stats_.refused_down;
-    job.req->stamp(name_, ":refused", sim_.now());
     trace_instant(job.req, trace::SpanKind::kDrop, site_, job.parent_span,
                   sim_.now(), /*detail=*/1);
     note_drop();
@@ -139,7 +138,6 @@ bool Server::offer(Job job) {
     ++stats_.expired;
     job.req->failed = true;
     job.req->deadline_expired = true;
-    job.req->stamp(name_, ":expired", sim_.now());
     trace_instant(job.req, trace::SpanKind::kDeadlineCancel, site_,
                   job.parent_span, sim_.now());
     auto jr = job_pool().make(std::move(job));
@@ -158,7 +156,6 @@ bool Server::offer(Job job) {
         // skips its downstream steps for a degraded request.
         if (!job.req->degraded) {
           job.req->degraded = true;
-          job.req->stamp(name_, ":degraded", sim_.now());
           trace_instant(job.req, trace::SpanKind::kBrownout, site_,
                         job.parent_span, sim_.now());
         }
@@ -168,7 +165,6 @@ bool Server::offer(Job job) {
         if (overload_->policy().shed_mode == ShedMode::kTcpDrop) {
           // Paper baseline: refuse the packet like a full accept queue;
           // the sender's TCP stack retransmits per its RTO.
-          job.req->stamp(name_, ":shed_drop", sim_.now());
           trace_instant(job.req, trace::SpanKind::kOverloadShed, site_,
                         job.parent_span, sim_.now(), /*detail=*/1);
           note_drop();
@@ -189,7 +185,6 @@ void Server::set_down(bool down, bool abort_queued_work) {
 void Server::abort_job(Job job) {
   ++stats_.aborted;
   job.req->failed = true;
-  job.req->stamp(name_, ":aborted", sim_.now());
   // The aborted job still gets a (failure) reply, preserving the
   // conservation invariant accepted == completed + in-system.
   note_reply();
@@ -199,7 +194,6 @@ void Server::abort_job(Job job) {
 void Server::shed_job(Job job, bool accepted, int detail) {
   job.req->failed = true;
   job.req->overload_shed = true;
-  job.req->stamp(name_, ":shed", sim_.now());
   trace_instant(job.req, trace::SpanKind::kOverloadShed, site_, job.parent_span,
                 sim_.now(), detail);
   if (accepted) note_reply();

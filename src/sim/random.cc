@@ -77,27 +77,7 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * u * m;
 }
 
-double Rng::pareto(double xm, double alpha) {
-  double u;
-  do { u = uniform(); } while (u <= 0.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 bool Rng::chance(double p) { return uniform() < p; }
-
-std::uint64_t Rng::zipf(std::uint64_t n, double s) {
-  // Inverse-CDF over the (small) support; n is a request-mix size.
-  if (n <= 1) return 0;
-  double norm = 0.0;
-  for (std::uint64_t k = 1; k <= n; ++k) norm += 1.0 / std::pow(double(k), s);
-  double u = uniform() * norm;
-  double acc = 0.0;
-  for (std::uint64_t k = 1; k <= n; ++k) {
-    acc += 1.0 / std::pow(double(k), s);
-    if (u <= acc) return k - 1;
-  }
-  return n - 1;
-}
 
 Duration Rng::exp_duration(Duration mean) {
   return Duration::from_seconds(exponential(mean.to_seconds()));

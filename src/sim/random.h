@@ -36,12 +36,8 @@ class Rng {
   double exponential(double mean);
   // Standard normal via Marsaglia polar method.
   double normal(double mean, double stddev);
-  // Pareto with scale xm > 0 and shape alpha > 0 (heavy-tailed demands).
-  double pareto(double xm, double alpha);
   // Bernoulli.
   bool chance(double p);
-  // Zipf over {0..n-1} with exponent s (popularity skew in request mixes).
-  std::uint64_t zipf(std::uint64_t n, double s);
 
   // Duration helpers (never negative, rounded to µs).
   Duration exp_duration(Duration mean);

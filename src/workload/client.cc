@@ -80,7 +80,6 @@ std::size_t ClientPool::pick_class(std::size_t session) {
 // connection failure) and moves the session on.
 void ClientPool::settle(std::size_t session, const server::RequestPtr& r) {
   r->completed = sim_.now();
-  r->stamp("client:recv", sim_.now());
   if (r->traced()) {
     server::trace_close(r, server::trace_root(r), sim_.now());
     cfg_.tracer->finish(r->spans, r->latency());
@@ -106,8 +105,6 @@ void ClientPool::issue(std::size_t session) {
   req->id = next_id_++;
   req->class_index = pick_class(session);
   req->issued = sim_.now();
-  req->tracing = cfg_.trace_requests;
-  req->stamp("client:send", sim_.now());
   ++issued_;
   if (cfg_.tracer) {
     req->spans = cfg_.tracer->begin(req->id);
@@ -140,7 +137,6 @@ void ClientPool::issue(std::size_t session) {
       req->settled = true;
       ++timeouts_;
       req->failed = true;
-      req->stamp("client:timeout", sim_.now());
       settle(session, req);
     }, sim::SchedClass::kTimer);
   }
@@ -172,7 +168,6 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
   if (!governor_->allow_send()) {
     // Breaker open: the request fails instantly, no packet is sent.
     req->failed = true;
-    req->stamp("client:breaker", sim_.now());
     server::trace_instant(req, trace::SpanKind::kBreakerReject, site_,
                           server::trace_root(req), sim_.now());
     fl->done = true;
@@ -186,7 +181,6 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
       fl->done = true;
       ++timeouts_;
       fl->req->failed = true;
-      fl->req->stamp("client:timeout", sim_.now());
       settle(fl->session, fl->req);
     }, sim::SchedClass::kTimer);
   }
@@ -199,7 +193,6 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
       ++governor_->stats().deadline_cancels;
       fl->req->failed = true;
       fl->req->deadline_expired = true;
-      fl->req->stamp("client:deadline", sim_.now());
       server::trace_instant(fl->req, trace::SpanKind::kDeadlineCancel, site_,
                             server::trace_root(fl->req), sim_.now());
       settle(fl->session, fl->req);
@@ -316,7 +309,6 @@ void ClientPool::retry_or_fail(const FlPtr& fl) {
     }
     ++fl->attempts;
     ++fl->req->app_retries;
-    fl->req->stamp("client:retry", sim_.now());
     send_attempt(fl, /*is_hedge=*/false);
   }, sim::SchedClass::kTimer);
 }

@@ -107,19 +107,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(std::sqrt(s2 / n - mean * mean), 2.0, 0.05);
 }
 
-TEST(Rng, ParetoBoundsAndTail) {
-  Rng r(14);
-  int above2x = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double x = r.pareto(1.0, 2.0);
-    EXPECT_GE(x, 1.0);
-    if (x > 2.0) ++above2x;
-  }
-  // P(X > 2) = (1/2)^2 = 0.25 for alpha=2.
-  EXPECT_NEAR(above2x / double(n), 0.25, 0.02);
-}
-
 TEST(Rng, ChanceFrequency) {
   Rng r(15);
   int hits = 0;
@@ -127,19 +114,6 @@ TEST(Rng, ChanceFrequency) {
   for (int i = 0; i < n; ++i)
     if (r.chance(0.3)) ++hits;
   EXPECT_NEAR(hits / double(n), 0.3, 0.02);
-}
-
-TEST(Rng, ZipfSkewsLow) {
-  Rng r(16);
-  std::vector<int> counts(5, 0);
-  for (int i = 0; i < 20000; ++i) ++counts[r.zipf(5, 1.0)];
-  EXPECT_GT(counts[0], counts[1]);
-  EXPECT_GT(counts[1], counts[3]);
-}
-
-TEST(Rng, ZipfSingleton) {
-  Rng r(17);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(r.zipf(1, 1.2), 0u);
 }
 
 TEST(Rng, ExpDuration) {

@@ -1,12 +1,10 @@
-// Tests for the Markov session model, client timeouts, trace store /
-// per-hop breakdown, and the load-shedding admission alternative.
+// Tests for the Markov session model, client timeouts, and the
+// load-shedding admission alternative.
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
 #include "core/scenarios.h"
-#include "core/trace_analysis.h"
 #include "helpers.h"
-#include "monitor/trace_store.h"
 #include "server/sync_server.h"
 #include "workload/client.h"
 #include "workload/session_model.h"
@@ -125,64 +123,6 @@ TEST(ClientTimeout, NoTimeoutsWhenFast) {
   cfg.duration = Duration::seconds(10);
   auto sys = core::run_system(cfg);
   EXPECT_EQ(sys->clients().timeouts(), 0u);
-}
-
-// --- TraceStore + trace analysis -------------------------------------------
-
-TEST(TraceStore, SeparatesAnomalousFromNormal) {
-  monitor::TraceStore store(monitor::TraceStore::Config{.normal_capacity = 2});
-  auto mk = [](double lat_s, int drops) {
-    auto r = server::make_request();
-    r->issued = Time::origin();
-    r->completed = Time::from_seconds(lat_s);
-    r->total_drops = drops;
-    return r;
-  };
-  store.record(mk(0.01, 0));
-  store.record(mk(0.01, 0));
-  store.record(mk(0.01, 0));  // over capacity: dropped from the sample
-  store.record(mk(3.5, 1));   // anomalous: always kept
-  store.record(mk(0.02, 1));  // dropped packet: anomalous even if fast
-  EXPECT_EQ(store.normal().size(), 2u);
-  EXPECT_EQ(store.anomalous().size(), 2u);
-  EXPECT_EQ(store.seen(), 5u);
-}
-
-TEST(TraceAnalysis, BreaksDownPerTier) {
-  core::ExperimentConfig cfg = core::scenarios::fig3_consolidation_sync();
-  cfg.workload.trace_requests = true;
-  cfg.duration = Duration::seconds(12);
-  core::NTierSystem sys(cfg);
-  monitor::TraceStore store;
-  sys.clients().on_complete(
-      [&](const server::RequestPtr& r) { store.record(r); });
-  sys.run();
-
-  const auto normal = core::analyze_traces(store.normal());
-  ASSERT_EQ(normal.hops.size(), 3u);
-  EXPECT_EQ(normal.hops[0].tier, "apache");
-  EXPECT_EQ(normal.hops[1].tier, "tomcat");
-  EXPECT_EQ(normal.hops[2].tier, "mysql");
-  // Nesting: an outer tier's span contains the inner ones (per-request;
-  // apache's *mean* can sit below tomcat's because static requests pull
-  // it down, so compare tomcat/mysql means and the maxima).
-  EXPECT_GE(normal.hops[1].mean_in_tier, normal.hops[2].mean_in_tier);
-  EXPECT_GE(normal.hops[0].max_in_tier, normal.hops[1].max_in_tier);
-  EXPECT_LT(normal.mean_outside_tiers, Duration::millis(5));
-
-  const auto vlrt = core::analyze_traces(store.anomalous());
-  ASSERT_GT(vlrt.requests, 10u);
-  // The VLRT population's latency lives OUTSIDE the tiers (RTO waits).
-  EXPECT_GT(vlrt.mean_outside_tiers, Duration::seconds(2));
-  EXPECT_FALSE(vlrt.to_table().empty());
-}
-
-TEST(TraceAnalysis, SkipsUntracedRequests) {
-  auto r = server::make_request();
-  r->issued = Time::origin();
-  r->completed = Time::from_seconds(1);
-  const auto out = core::analyze_traces({r});
-  EXPECT_EQ(out.requests, 0u);
 }
 
 // --- load shedding ----------------------------------------------------------

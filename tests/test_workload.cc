@@ -236,23 +236,6 @@ TEST(ClientPool, MeasureFromSkipsWarmup) {
   EXPECT_GT(clients.completed(), 0u);
 }
 
-TEST(ClientPool, TracingStampsHops) {
-  EchoServerFixture f;
-  ClientConfig cc;
-  cc.sessions = 1;
-  cc.mean_think = Duration::millis(10);
-  cc.trace_requests = true;
-  ClientPool clients(f.sim, sim::Rng(12), &f.profile, f.srv.get(), cc);
-  server::RequestPtr seen;
-  clients.on_complete([&](const server::RequestPtr& r) { if (!seen) seen = r; });
-  clients.start();
-  f.sim.run_until(Time::from_seconds(2));
-  ASSERT_TRUE(seen);
-  ASSERT_GE(seen->trace.size(), 4u);
-  EXPECT_EQ(seen->trace.front().where, "client:send");
-  EXPECT_EQ(seen->trace.back().where, "client:recv");
-}
-
 // --- request_mix predictions --------------------------------------------
 
 TEST(RequestMix, PredictMatchesPaperOperatingPoints) {
