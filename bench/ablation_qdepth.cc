@@ -45,12 +45,14 @@ void sweep_threads(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
       if (with_overhead != 0) cfg.system.sync_overhead.alpha_per_thread = 1.3e-3;
       cfg.name = "abl-threads-" + std::to_string(threads) +
                  (with_overhead != 0 ? "-overhead" : "-ideal");
+      cfg.trace = tf.config;
       cfg.obs = tf.obs;
       auto sys = core::run_system(cfg);
       auto s = core::summarize(*sys);
       drops[with_overhead] = s.total_drops;
       if (with_overhead != 0) rps = s.throughput_rps;
       bench::finalize_incidents(*sys);
+      bench::export_traces(*sys, tf);
       bench::maybe_dashboard(*sys, tf);
       perf.add_events(sys->simulation().events_executed());
     }
@@ -73,10 +75,12 @@ void sweep_weight(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
     auto cfg = base();
     cfg.bottleneck.interference_weight = w;
     cfg.name = "abl-weight-" + std::to_string(static_cast<int>(w));
+    cfg.trace = tf.config;
     cfg.obs = tf.obs;
     auto sys = core::run_system(cfg);
     auto s = core::summarize(*sys);
     bench::finalize_incidents(*sys);
+    bench::export_traces(*sys, tf);
     bench::maybe_dashboard(*sys, tf);
     perf.add_events(sys->simulation().events_executed());
     t.add_row({metrics::Table::num(w, 0), metrics::Table::num(100.0 / (1.0 + w), 0),
@@ -97,10 +101,12 @@ void sweep_backlog(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
     cfg.system.backlog = backlog;
     cfg.system.web_processes = 1;
     cfg.name = "abl-backlog-" + std::to_string(backlog);
+    cfg.trace = tf.config;
     cfg.obs = tf.obs;
     auto sys = core::run_system(cfg);
     auto s = core::summarize(*sys);
     bench::finalize_incidents(*sys);
+    bench::export_traces(*sys, tf);
     bench::maybe_dashboard(*sys, tf);
     perf.add_events(sys->simulation().events_executed());
     t.add_row({metrics::Table::num(std::uint64_t{backlog}),
@@ -125,9 +131,11 @@ void sweep_rto(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
     cfg.workload.client_rto = policy;
     cfg.system.tier_rto = policy;
     cfg.name = exponential ? "abl-rto-exponential" : "abl-rto-fixed3s";
+    cfg.trace = tf.config;
     cfg.obs = tf.obs;
     auto sys = core::run_system(cfg);
     bench::finalize_incidents(*sys);
+    bench::export_traces(*sys, tf);
     bench::maybe_dashboard(*sys, tf);
     perf.add_events(sys->simulation().events_executed());
     std::printf("%s backoff: modes at", exponential ? "exponential" : "fixed-3s");

@@ -2,9 +2,14 @@
 // canned scenario and prints the series the corresponding paper figure
 // plots, plus the summary rows the paper quotes in its captions.
 //
-// Every figure binary accepts the shared bench flags:
+// Every bench binary accepts the shared bench flags:
 //   --trace=all|vlrt|1inN|off   sampling mode (N an integer, e.g. 1in100)
 //   --trace-out=DIR             trace artifact directory (default trace_out/)
+//                               Honored by every bench that runs single
+//                               systems (fig*, ablation, ext_*); the
+//                               sweep benches (sweep_ctqo_surface,
+//                               ext_protocol_matrix) run on worker
+//                               threads and exit 2 with an error instead.
 //   --dashboard=DIR             write <DIR>/<name>.dashboard.html per run
 //   --incidents=DIR             enable the online incident detectors +
 //                               flight recorder (src/obs); incident
@@ -64,6 +69,7 @@ struct BenchFlags {
   std::string sweep_out = "sweep_out";  // --sweep-out=DIR for CSV + manifest
   bool quick = false;               // --quick: shrunken grid for smoke runs
   std::string proto;                // --proto=NAME protocol profile ("" = default)
+  std::string trace_arg;            // last --trace=/--trace-out= given ("" = none)
   bool bad = false;                 // an unparsable flag was seen
 };
 
@@ -90,6 +96,7 @@ inline BenchFlags parse_bench_flags(int argc, char** argv) {
       f.proto = arg.substr(8);
       if (f.proto.empty() || !net::ProtocolProfile::by_name(f.proto)) f.bad = true;
     } else if (arg.rfind("--trace-out=", 0) == 0) {
+      f.trace_arg = arg;
       f.out_dir = arg.substr(12);
       if (f.out_dir.empty()) f.bad = true;
     } else if (arg.rfind("--dashboard=", 0) == 0) {
@@ -104,6 +111,7 @@ inline BenchFlags parse_bench_flags(int argc, char** argv) {
       if (w > 0.0) f.obs.flight.window = sim::Duration::from_seconds(w);
       else f.bad = true;
     } else if (arg.rfind("--trace=", 0) == 0) {
+      f.trace_arg = arg;
       const std::string mode = arg.substr(8);
       if (mode == "off") {
         f.config.mode = trace::TraceMode::kOff;
@@ -135,6 +143,19 @@ inline BenchFlags parse_bench_flags(int argc, char** argv) {
                  argc > 0 ? argv[0] : "fig");
   }
   return f;
+}
+
+// For the sweep benches, which cannot honor --trace/--trace-out: their
+// runs execute on worker threads, where trace files and the per-run
+// tracing section would race. Prints an `error:` line naming the flag
+// and returns true when either was given (the caller exits 2).
+inline bool reject_trace_flags(const BenchFlags& f, const char* bench) {
+  if (f.trace_arg.empty()) return false;
+  std::fprintf(stderr,
+               "error: %s does not support %s: its runs go through the sweep "
+               "engine; trace a single run with a fig* or ext_* bench instead\n",
+               bench, f.trace_arg.c_str());
+  return true;
 }
 
 // Applies --proto=NAME to a scenario config and prints a banner line so

@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
   for (std::size_t depth : {3u, 4u, 5u, 6u}) {
     for (bool all_async : {false, true}) {
       auto gcfg = make_chain(depth, all_async);
+      gcfg.trace = tf.config;
       gcfg.obs = tf.obs;
       graph::GraphSystem sys(std::move(gcfg));
       sys.run();
@@ -73,6 +74,7 @@ int main(int argc, char** argv) {
                  metrics::Table::num(front), metrics::Table::num(other),
                  metrics::Table::num(sys.latency().vlrt_count()), cascade});
       bench::finalize_incidents(sys);
+      bench::export_traces(sys, tf);
       bench::maybe_dashboard(sys, tf);
       perf.add_events(sys.simulation().events_executed());
     }

@@ -114,6 +114,7 @@ void run_deep_chain(const bench::BenchFlags& flags, bench::BenchPerf& perf) {
   text += "freeze leaf first=8s period=12s pause=900ms\n";
   auto cfg = graph::parse_topology(text);
   cfg.duration = flags.quick ? Duration::seconds(16) : Duration::seconds(40);
+  cfg.trace = flags.config;
   cfg.obs = flags.obs;
 
   std::printf("--- 2. deep chain, depth %zu, via the topology grammar (is_chain=%d) ---\n",
@@ -133,6 +134,7 @@ void run_deep_chain(const bench::BenchFlags& flags, bench::BenchPerf& perf) {
               static_cast<unsigned long long>(sys->latency().vlrt_count()));
   bench::finalize_incidents(*sys);
   bench::maybe_dashboard(*sys, flags);
+  bench::export_traces(*sys, flags);
   perf.add_events(sys->simulation().events_executed());
 }
 
@@ -170,9 +172,11 @@ void run_replicated(const bench::BenchFlags& flags, bench::BenchPerf& perf) {
   for (std::size_t sessions : loads) {
     for (bool hedge : {false, true}) {
       auto cfg = replicated_config(sessions, hedge, flags.quick);
+      cfg.trace = flags.config;
       cfg.obs = flags.obs;
       auto sys = graph::run_graph(cfg);
       bench::finalize_incidents(*sys);
+      bench::export_traces(*sys, flags);
       const double p99 = sys->latency().histogram().percentile(99.0).to_millis();
       std::uint64_t hedges = 0;
       if (const auto* g = sys->server_flat(0)->governor())

@@ -22,6 +22,7 @@ void run_pair(const char* title, core::ExperimentConfig sync_cfg,
   std::printf("=== %s ===\n", title);
   metrics::Table t({"stack", "drops", "vlrt", "p99.9_ms", "episodes"});
   for (auto* cfg : {&sync_cfg, &async_cfg}) {
+    cfg->trace = tf.config;
     cfg->obs = tf.obs;
     auto sys = core::run_system(*cfg);
     auto s = core::summarize(*sys);
@@ -32,6 +33,7 @@ void run_pair(const char* title, core::ExperimentConfig sync_cfg,
     if (cfg->system.arch == core::Architecture::kSync && !s.ctqo.episodes.empty())
       std::fputs(s.ctqo.to_string().c_str(), stdout);
     bench::finalize_incidents(*sys);
+    bench::export_traces(*sys, tf);
     bench::maybe_dashboard(*sys, tf);
     perf.add_events(sys->simulation().events_executed());
   }

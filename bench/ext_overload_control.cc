@@ -57,6 +57,7 @@ struct RunResult {
 RunResult run_policy(OverloadChoice choice, const bench::BenchFlags& tf,
                      bench::BenchPerf& perf) {
   auto cfg = core::scenarios::ext_overload_control(choice);
+  cfg.trace = tf.config;
   cfg.obs = tf.obs;
   auto sys = core::run_system(cfg);
   RunResult r;
@@ -72,6 +73,7 @@ RunResult run_policy(OverloadChoice choice, const bench::BenchFlags& tf,
     }
   }
   bench::finalize_incidents(*sys);
+  bench::export_traces(*sys, tf);
   bench::maybe_dashboard(*sys, tf);
   perf.add_events(sys->simulation().events_executed());
   return r;

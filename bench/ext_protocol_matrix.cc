@@ -50,7 +50,7 @@ double overflow_mean(const ntier::sweep::PointResult& pt,
 int main(int argc, char** argv) {
   using namespace ntier;
   const auto flags = bench::parse_bench_flags(argc, argv);
-  if (flags.bad) return 2;
+  if (flags.bad || bench::reject_trace_flags(flags, "ext_protocol_matrix")) return 2;
   bench::BenchPerf perf("ext_protocol_matrix");
 
   // Axis 0 indexes this table; the quick grid keeps exactly the three

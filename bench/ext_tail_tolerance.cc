@@ -33,6 +33,7 @@ namespace {
 core::ExperimentSummary run_row(metrics::Table& t, core::ExperimentConfig cfg,
                                 const char* label, const bench::BenchFlags& tf,
                                 bench::BenchPerf& perf) {
+  cfg.trace = tf.config;
   cfg.obs = tf.obs;
   auto sys = core::run_system(cfg);
   auto s = core::summarize(*sys);
@@ -44,6 +45,7 @@ core::ExperimentSummary run_row(metrics::Table& t, core::ExperimentConfig cfg,
              metrics::Table::num(std::uint64_t{s.ctqo.episodes.size()}),
              metrics::Table::num(s.ctqo.retry_storm_episodes)});
   bench::finalize_incidents(*sys);
+  bench::export_traces(*sys, tf);
   bench::maybe_dashboard(*sys, tf);
   perf.add_events(sys->simulation().events_executed());
   return s;
@@ -112,6 +114,7 @@ int main(int argc, char** argv) {
     auto t = make_table();
     for (auto arch : {core::Architecture::kSync, core::Architecture::kNx3}) {
       auto cfg = core::scenarios::ext_fault_injection(arch);
+      cfg.trace = tf.config;
       cfg.obs = tf.obs;
       auto sys = core::run_system(cfg);
       auto s = core::summarize(*sys);
@@ -130,6 +133,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(fc.link_windows),
                   static_cast<unsigned long long>(fc.slow_windows));
       bench::finalize_incidents(*sys);
+      bench::export_traces(*sys, tf);
       bench::maybe_dashboard(*sys, tf);
       perf.add_events(sys->simulation().events_executed());
     }

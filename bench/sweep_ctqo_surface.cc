@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace ntier;
   const auto flags = bench::parse_bench_flags(argc, argv);
-  if (flags.bad) return 2;
+  if (flags.bad || bench::reject_trace_flags(flags, "sweep_ctqo_surface")) return 2;
   bench::BenchPerf perf("sweep_ctqo_surface");
 
   sweep::Grid grid;

@@ -17,7 +17,10 @@ Checks the subset of the trace_event format this project emits
     references an earlier span of the same request — the tree is
     recoverable from the file
   - at least one "X" event (an export with zero retained traces is
-    almost certainly a wiring bug in a --trace smoke test)
+    almost certainly a wiring bug in a --trace smoke test). With
+    --allow-empty, an export whose only event is the process_name
+    metadata record is accepted too: that is what a run with nothing to
+    retain writes (e.g. a drop-free stack under --trace=vlrt)
 
 With --csv, the files are span CSVs (trace_spans.csv, incident_spans.csv)
 instead, read with Python's csv module (RFC 4180 quoting):
@@ -27,7 +30,10 @@ instead, read with Python's csv module (RFC 4180 quoting):
     kind is an exported SpanKind name, and closed is 0 or 1
   - parent_id is -1 iff kind is "request"
 
-Usage: scripts/validate_chrome_trace.py [--csv] FILE [FILE ...]
+A header-only CSV (a run that retained no trace) is valid with or
+without --allow-empty.
+
+Usage: scripts/validate_chrome_trace.py [--csv] [--allow-empty] FILE [FILE ...]
 Exit status: 0 when every file validates, 1 otherwise.
 """
 
@@ -60,7 +66,13 @@ def fail(errors, path, msg):
     errors.append(f"{path}: {msg}")
 
 
-def validate(path: str, errors: list) -> None:
+def is_empty_export(events: list) -> bool:
+    """True for the export of zero traces: one process_name metadata record."""
+    return (len(events) == 1 and isinstance(events[0], dict)
+            and events[0].get("ph") == "M" and events[0].get("name") == "process_name")
+
+
+def validate(path: str, errors: list, allow_empty: bool = False) -> None:
     before = len(errors)
     try:
         with open(path, encoding="utf-8") as f:
@@ -133,7 +145,7 @@ def validate(path: str, errors: list) -> None:
                  f"(parents must precede children)")
         seen.add(span)
 
-    if complete_events == 0:
+    if complete_events == 0 and not (allow_empty and is_empty_export(events)):
         fail(errors, path, "no complete ('X') events — empty trace export")
     if len(errors) == before:
         print(f"OK: {path}: {len(events)} events, "
@@ -172,16 +184,20 @@ def validate_csv(path: str, errors: list) -> None:
 
 def main() -> int:
     args = sys.argv[1:]
-    check = validate
-    if args and args[0] == "--csv":
-        check = validate_csv
+    csv_files = allow_empty = False
+    while args and args[0] in ("--csv", "--allow-empty"):
+        csv_files |= args[0] == "--csv"
+        allow_empty |= args[0] == "--allow-empty"
         args = args[1:]
     if not args:
         print(__doc__)
         return 2
     errors = []
     for path in args:
-        check(path, errors)
+        if csv_files:
+            validate_csv(path, errors)  # a header-only CSV is always valid
+        else:
+            validate(path, errors, allow_empty)
     for e in errors:
         print(f"INVALID: {e}")
     return 1 if errors else 0

@@ -52,6 +52,13 @@ std::uint32_t EventQueue::alloc_slot() {
   return slot;
 }
 
+void EventQueue::reserve(std::size_t n) {
+  // Free slots are reused before the table grows, so live_ + n slots
+  // hold every event pushed next.
+  meta_.reserve(live_ + n);
+  fns_.reserve(live_ + n);
+}
+
 void EventQueue::free_slot(std::uint32_t slot) {
   Meta& m = meta_[slot];
   ++m.gen;  // invalidate outstanding handles

@@ -161,6 +161,12 @@ class EventQueue {
   // slot.
   std::size_t run_next_tick(Time deadline, Time& now);
 
+  // Makes room for `n` more pending events beyond those live now, so
+  // pushing them grows no slot array. Capacity only: slot indices,
+  // sequence numbers and event order are exactly what they would be
+  // without the call. For bulk set-up (one start event per session).
+  void reserve(std::size_t n);
+
   // True when no live events remain. O(1).
   bool empty() const { return live_ == 0; }
   // Exact number of live (pending, uncancelled) events, wherever they

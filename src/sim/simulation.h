@@ -44,6 +44,11 @@ class Simulation {
     return queue_.push(now_ + delay, std::move(fn));
   }
 
+  // Makes room for `n` more pending events than are live now, so
+  // scheduling them grows no queue storage (EventQueue::reserve). Does
+  // not change which events run or in what order.
+  void reserve(std::size_t n) { queue_.reserve(n); }
+
   // Runs events until the clock would pass `deadline`, one whole tick
   // batch at a time (every event at one instant drains in a single
   // pass). The clock ends at exactly `deadline` (events at the deadline

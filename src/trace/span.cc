@@ -70,6 +70,9 @@ std::uint64_t RequestTrace::open(SpanKind kind, Site site,
   s.site = site;
   s.detail = detail;
   s.kind = kind;
+  // After the root closes, only late spans arrive: grow exactly.
+  if (spans_.size() == spans_.capacity() && !spans_.empty() && spans_.front().closed_)
+    spans_.reserve(spans_.size() + 1);
   spans_.push_back(s);
   return spans_.size() - 1;
 }

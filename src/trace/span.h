@@ -21,7 +21,9 @@
 // handle into a process-wide intern table (intern_site), not a string
 // of its own, and its id is its index in the tree, so recording a span
 // copies no string, looks nothing up and allocates only when the tree's
-// vector grows.
+// vector grows. A tree that outlives Tracer::finish is trimmed there to
+// exactly its spans (shrink_to_fit), so retained trees hold no growth
+// slack.
 //
 // Layering: this library depends only on `sim/` — servers, transports,
 // and clients record into it, and `core/` analyzes it, without cycles.
@@ -116,7 +118,10 @@ static_assert(std::is_trivially_destructible_v<Span>);
 
 // Append-only span tree for one request. Span ids are allocation order
 // (parents always precede children), which makes same-seed runs emit
-// byte-identical exports.
+// byte-identical exports. Once the root span is closed (the client
+// settled the request), a span that still arrives — from a hedged
+// duplicate or a timed-out copy still in the tiers — grows a full vector
+// by exactly one slot, so a tree trimmed at finish stays exact-size.
 class RequestTrace {
  public:
   explicit RequestTrace(std::uint64_t request_id) : request_id_(request_id) {}
@@ -137,6 +142,12 @@ class RequestTrace {
   std::uint64_t instant(SpanKind kind, Site site, std::uint64_t parent,
                         sim::Time at, int detail = 0);
 
+  // Releases the vector's growth slack: afterwards
+  // spans().capacity() == spans().size(). Reallocates the spans, so a
+  // Span reference or pointer taken before the call dangles.
+  // Tracer::finish calls it once on every tree that outlives the call.
+  void shrink_to_fit() { spans_.shrink_to_fit(); }
+
   const std::vector<Span>& spans() const { return spans_; }
   bool empty() const { return spans_.empty(); }
   // The root (first-opened) span. Undefined when empty().
@@ -150,9 +161,10 @@ class RequestTrace {
 };
 
 // Span trees are slab-pooled: the per-request object is recycled, but
-// its span vector still grows with the tree, doubling to the next power
-// of two (a retained tree of n spans holds room for the least power of
-// two >= n Spans, 40 bytes each) — tracing explicitly costs memory.
+// its span vector grows with the tree while the request is in flight.
+// Tracer::finish trims every tree it retains or hands to its finish hook
+// to its exact size, so a retained tree of n spans holds 40 × n bytes
+// plus one allocator header — tracing explicitly costs memory.
 using TracePtr = sim::PoolRef<RequestTrace>;
 
 // Thread-local pool behind Tracer::begin; exposed for tests.

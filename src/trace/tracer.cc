@@ -41,16 +41,21 @@ TracePtr Tracer::begin(std::uint64_t request_id) {
 void Tracer::finish(const TracePtr& trace,
                     sim::Duration latency) {
   if (!trace) return;
+  const bool discard =
+      cfg_.mode == TraceMode::kVlrtOnly && latency < cfg_.vlrt_threshold;
+  const bool keep = !discard && traces_.size() < cfg_.max_traces;
+  // A tree retained here or offered to the hook (the flight recorder
+  // holds it) outlives this call: store it at its exact size. A tree
+  // dropped here is released with its request, untouched.
+  if (keep || finish_hook_) trace->shrink_to_fit();
   if (finish_hook_) finish_hook_(trace, latency);
-  if (cfg_.mode == TraceMode::kVlrtOnly && latency < cfg_.vlrt_threshold) {
+  if (discard) {
     ++discarded_;
-    return;
-  }
-  if (traces_.size() >= cfg_.max_traces) {
+  } else if (!keep) {
     ++dropped_by_cap_;
-    return;
+  } else {
+    traces_.push_back(trace);
   }
-  traces_.push_back(trace);
 }
 
 }  // namespace ntier::trace

@@ -68,7 +68,10 @@ class Tracer {
   TracePtr begin(std::uint64_t request_id);
 
   // Called at request completion (the root span must be closed by the
-  // caller first). Retains or discards per the sampling mode.
+  // caller first). Retains or discards per the sampling mode. A tree
+  // that is retained or handed to the finish hook is first trimmed to
+  // its exact size (RequestTrace::shrink_to_fit), so no Span reference
+  // into it may be held across this call.
   void finish(const TracePtr& trace, sim::Duration latency);
 
   // Observer invoked once per finished span tree, BEFORE the retention

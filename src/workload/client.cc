@@ -54,6 +54,7 @@ ClientPool::ClientPool(sim::Simulation& sim, sim::Rng rng,
 }
 
 void ClientPool::start() {
+  sim_.reserve(cfg_.sessions);
   for (std::size_t s = 0; s < cfg_.sessions; ++s) {
     // Exponential initial phase = the equilibrium residual of the
     // (exponential) think cycle, so the arrival process is stationary

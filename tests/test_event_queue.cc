@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "alloc_counter.h"
+
 namespace ntier::sim {
 namespace {
 
@@ -104,6 +106,29 @@ TEST(EventQueue, ManyInterleaved) {
   }
   ASSERT_EQ(fired.size(), 100u);
   for (std::size_t i = 1; i < fired.size(); ++i) EXPECT_LE(fired[i - 1], fired[i]);
+}
+
+TEST(EventQueue, ReserveMakesRoomWithoutChangingOrder) {
+  // Two queues get the same pushes (one live event, one cancelled slot,
+  // then a bulk of 3000); only one reserves room for the bulk first.
+  constexpr int kBulk = 3000;
+  std::vector<int> order[2];
+  for (int reserved = 0; reserved < 2; ++reserved) {
+    EventQueue q;
+    std::vector<int>& out = order[reserved];
+    q.push(at(0.5), [&out] { out.push_back(-1); });
+    EventHandle gone = q.push(at(0.25), [&out] { out.push_back(-2); });
+    gone.cancel();
+    if (reserved != 0) q.reserve(kBulk);
+    const std::uint64_t n0 = test::allocations();
+    for (int i = 0; i < kBulk; ++i)
+      q.push(Time::from_micros((i * 7919) % 5003 + 1), [&out, i] { out.push_back(i); });
+    if (reserved != 0) EXPECT_EQ(test::allocations() - n0, 0u);
+    while (q.pop_and_run()) {
+    }
+  }
+  ASSERT_EQ(order[0].size(), kBulk + 1u);
+  EXPECT_EQ(order[0], order[1]);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -22,6 +23,8 @@
 #include "core/scenarios.h"
 #include "graph/graph_system.h"
 #include "graph/topology.h"
+#include "obs/flight_recorder.h"
+#include "obs/incident_monitor.h"
 #include "trace/chrome_trace.h"
 #include "trace/critical_path.h"
 #include "trace/span.h"
@@ -84,6 +87,15 @@ TEST(RequestTrace, OpenAllocatesNothingWhileTheVectorHasRoom) {
   }
   EXPECT_EQ(spans.size(), 100u);
   EXPECT_LE(grew, 8u);
+  // Settled and trimmed, as Tracer::finish leaves it: no room is left,
+  // so a late span regrows the vector once, by exactly one slot.
+  t.close(0, Time::from_micros(150));
+  t.shrink_to_fit();
+  EXPECT_EQ(spans.capacity(), spans.size());
+  const std::uint64_t n0 = test::allocations();
+  t.instant(SpanKind::kHedge, hop, 0, Time::from_micros(200));
+  EXPECT_EQ(test::allocations() - n0, 1u);
+  EXPECT_EQ(spans.capacity(), spans.size());
 }
 
 TEST(SiteTable, InterningIsStableAndSharedAcrossThreads) {
@@ -161,16 +173,44 @@ TEST(Tracer, MaxTracesCapDropsButCounts) {
   cfg.mode = trace::TraceMode::kAll;
   cfg.max_traces = 2;
   trace::Tracer tracer(cfg);
+  const trace::Site client = intern_site("client");
+  std::vector<trace::TracePtr> dropped;
   for (std::uint64_t id = 1; id <= 5; ++id) {
     auto t = tracer.begin(id);
     ASSERT_NE(t, nullptr);
-    t->open(SpanKind::kRequest, intern_site("client"), trace::kNoSpan,
-            Time::from_seconds(0));
+    t->open(SpanKind::kRequest, client, trace::kNoSpan, Time::from_seconds(0));
+    t->instant(SpanKind::kDrop, client, 0, Time::from_seconds(0));
+    t->instant(SpanKind::kHedge, client, 0, Time::from_seconds(0));
     t->close(0, Time::from_seconds(1));
+    ASSERT_GT(t->spans().capacity(), t->spans().size());  // 3 spans, room for 4
     tracer.finish(t, Duration::seconds(1));
+    if (id > 2) dropped.push_back(t);
   }
   EXPECT_EQ(tracer.retained(), 2u);
   EXPECT_EQ(tracer.dropped_by_cap(), 3u);
+  // Retained trees are stored at their exact size; trees dropped at
+  // finish are left as they were (nothing outlives the request there).
+  for (const auto& t : tracer.traces())
+    EXPECT_EQ(t->spans().capacity(), t->spans().size());
+  for (const auto& t : dropped) EXPECT_GT(t->spans().capacity(), t->spans().size());
+
+  // With a finish hook every tree may outlive the call, so every tree is
+  // trimmed before the hook sees it — the cap-dropped ones too.
+  trace::Tracer hooked(cfg);
+  std::size_t exact_in_hook = 0;
+  hooked.set_finish_hook([&](const trace::TracePtr& t, Duration) {
+    if (t->spans().capacity() == t->spans().size()) ++exact_in_hook;
+  });
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    auto t = hooked.begin(id);
+    t->open(SpanKind::kRequest, client, trace::kNoSpan, Time::from_seconds(0));
+    t->instant(SpanKind::kDrop, client, 0, Time::from_seconds(0));
+    t->instant(SpanKind::kHedge, client, 0, Time::from_seconds(0));
+    t->close(0, Time::from_seconds(1));
+    hooked.finish(t, Duration::seconds(1));
+  }
+  EXPECT_EQ(exact_in_hook, 5u);
+  EXPECT_EQ(hooked.dropped_by_cap(), 3u);
 }
 
 TEST(CriticalPath, ChargesEveryMicrosecondExactlyOnce) {
@@ -600,6 +640,8 @@ TEST(TraceSystem, SpanTreesAreWellFormedAcrossThreeTiers) {
     ASSERT_NE(t, nullptr);
     ASSERT_FALSE(t->empty());
     const auto& spans = t->spans();
+    // Retained trees are stored at their exact size (no growth slack).
+    EXPECT_EQ(spans.capacity(), spans.size()) << "request " << t->request_id();
     EXPECT_EQ(spans.front().kind, SpanKind::kRequest);
     EXPECT_EQ(spans.front().parent, trace::kNoSpan);
     EXPECT_TRUE(spans.front().closed());  // finished requests only
@@ -664,15 +706,67 @@ TEST(TraceSystem, VlrtAttributionNamesTheDropTier) {
 }
 
 TEST(TraceSystem, VlrtOnlySamplingKeepsNonVlrtOut) {
-  const auto sys = core::run_system(traced_fig3(trace::TraceMode::kVlrtOnly));
+  // With the flight recorder on (in memory only), the finish hook sees
+  // every tree, discarded ones included.
+  auto cfg = traced_fig3(trace::TraceMode::kVlrtOnly);
+  cfg.obs.enabled = true;
+  cfg.obs.max_dumps = 0;
+  const auto sys = core::run_system(cfg);
   ASSERT_NE(sys->tracer(), nullptr);
   const auto& tracer = *sys->tracer();
   ASSERT_GT(tracer.retained(), 0u);
-  for (const auto& t : tracer.traces())
+  for (const auto& t : tracer.traces()) {
     EXPECT_GE(t->total(), tracer.config().vlrt_threshold);
+    EXPECT_EQ(t->spans().capacity(), t->spans().size());
+  }
   // Most traffic is sub-second; tail sampling must discard it.
   EXPECT_GT(tracer.discarded(), 0u);
   EXPECT_LT(tracer.retained(), tracer.begun());
+  // The ring holds discarded trees too, each at its exact size.
+  ASSERT_NE(sys->obs(), nullptr);
+  const auto* ring = sys->obs()->recorder();
+  ASSERT_NE(ring, nullptr);
+  const auto held = ring->window_snapshot(Time::origin(), Time::max());
+  EXPECT_EQ(held.size(), ring->size());
+  EXPECT_GT(held.size(), tracer.retained());
+  for (const auto& t : held)
+    EXPECT_EQ(t->spans().capacity(), t->spans().size()) << "request " << t->request_id();
+}
+
+TEST(TraceSystem, LateSpansKeepRetainedStorageNearExactSize) {
+  // Hedged duplicates and client timeouts settle a request while other
+  // copies are still in the tiers; their spans land in the tree after
+  // Tracer::finish trimmed it. Such late spans grow the tree one span at
+  // a time, so retained storage stays at the spans it holds.
+  auto cfg = traced_fig3(trace::TraceMode::kAll);
+  cfg.workload.client_timeout = Duration::seconds(3);
+  cfg.workload.client_policy =
+      core::scenarios::make_tail_policy(core::scenarios::TailPolicyChoice::kDeadlineHedge);
+  cfg.workload.client_policy.deadline = Duration::zero();  // time out instead
+  core::validate(cfg);
+  core::NTierSystem sys(cfg);
+  std::unordered_map<std::uint64_t, std::size_t> at_finish;
+  sys.tracer()->set_finish_hook([&](const trace::TracePtr& t, Duration) {
+    at_finish[t->request_id()] = t->spans().size();
+  });
+  sys.run();
+  ASSERT_GT(sys.clients().timeouts(), 0u);
+  ASSERT_GT(sys.clients().governor()->stats().hedges, 0u);
+  std::size_t spans = 0, capacity = 0, late_trees = 0, late_spans = 0;
+  for (const auto& t : sys.tracer()->traces()) {
+    const std::size_t n = t->spans().size();
+    spans += n;
+    capacity += t->spans().capacity();
+    const std::size_t finished = at_finish.at(t->request_id());
+    if (n > finished) {
+      ++late_trees;
+      late_spans += n - finished;
+    }
+  }
+  EXPECT_GT(late_spans, 0u) << "the config must exercise appends after finish";
+  EXPECT_LE(static_cast<double>(capacity), 1.05 * static_cast<double>(spans))
+      << late_spans << " late spans in " << late_trees << " of "
+      << sys.tracer()->retained() << " trees";
 }
 
 TEST(TraceSystem, SameSeedRunsEmitByteIdenticalExports) {
